@@ -160,6 +160,29 @@ struct QueueState {
     leader_running: bool,
 }
 
+impl QueueState {
+    /// A submitter's bid for leadership: taken when work is pending and
+    /// no leader is running.
+    fn try_lead(&mut self) -> bool {
+        let lead = !self.leader_running && !self.pending.is_empty();
+        self.leader_running |= lead;
+        lead
+    }
+
+    /// The running leader's next batch. On an empty queue it releases
+    /// leadership in the same critical section that saw the queue
+    /// empty, so work enqueued after the leader quits always finds
+    /// `leader_running == false` and its submitter leads.
+    fn take_batch(&mut self) -> Option<Vec<Pending>> {
+        if self.pending.is_empty() {
+            self.leader_running = false;
+            None
+        } else {
+            Some(std::mem::take(&mut self.pending))
+        }
+    }
+}
+
 /// How long a waiter sleeps before re-checking whether it should
 /// promote itself to leader (the normal wake-up is its result arriving,
 /// which is immediate).
@@ -440,15 +463,7 @@ impl Batcher {
     /// leadership and drains. The wait half of `submit`/`submit_many`.
     fn await_outcome(&self, rx: &std::sync::mpsc::Receiver<Outcome>) -> Result<Outcome, String> {
         loop {
-            let lead = {
-                let mut state = self.state.lock().expect("queue lock");
-                if !state.leader_running && !state.pending.is_empty() {
-                    state.leader_running = true;
-                    true
-                } else {
-                    false
-                }
-            };
+            let lead = self.state.lock().expect("queue lock").try_lead();
             if lead {
                 self.drain();
             }
@@ -585,8 +600,9 @@ impl Batcher {
             .collect()
     }
 
-    /// Leads for up to [`MAX_LEADER_ROUNDS`] drain rounds, then
-    /// releases leadership (leftover work is picked up by a waiting
+    /// Leads until the queue is empty, for at most
+    /// [`MAX_LEADER_ROUNDS`] drain rounds, then releases leadership
+    /// (work left after the last round is picked up by a waiting
     /// submitter's next poll tick or the next fresh submit).
     fn drain(&self) {
         let mut guard = LeaderGuard {
@@ -596,12 +612,9 @@ impl Batcher {
             armed: true,
         };
         for _ in 0..MAX_LEADER_ROUNDS {
-            let batch = {
-                let mut state = self.state.lock().expect("queue lock");
-                if state.pending.is_empty() {
-                    break;
-                }
-                std::mem::take(&mut state.pending)
+            let Some(batch) = self.state.lock().expect("queue lock").take_batch() else {
+                guard.armed = false;
+                return;
             };
             // Queue-wait accounting happens at leader pickup: the
             // always-on metric uses the wall clock carried by each item;
@@ -656,8 +669,7 @@ impl Batcher {
                 }
             }
         }
-        let mut state = self.state.lock().expect("queue lock");
-        state.leader_running = false;
+        self.state.lock().expect("queue lock").leader_running = false;
         guard.armed = false;
     }
 
@@ -1485,6 +1497,42 @@ mod tests {
             })
             .unwrap();
         assert!(matches!(out, Outcome::Check { summary: Ok(_), .. }));
+    }
+
+    #[test]
+    fn leader_releases_leadership_where_it_sees_the_queue_empty() {
+        let s = test_session();
+        let pending = || {
+            let (tx, _rx) = channel();
+            Pending {
+                work: Work::Eval {
+                    session: Arc::clone(&s),
+                    q: 0,
+                },
+                tx,
+                trace_id: 0,
+                enqueued: Instant::now(),
+                enqueued_us: 0,
+                cancel: CancelToken::unlimited(),
+            }
+        };
+        let mut state = QueueState::default();
+        state.pending.push(pending());
+        assert!(state.try_lead(), "first submitter leads an idle queue");
+        assert!(!state.try_lead(), "one leader at a time");
+        assert_eq!(state.take_batch().map(|b| b.len()), Some(1));
+        assert!(state.leader_running, "a leader with work keeps leading");
+        // The leader finds the queue empty. The next submitter, arriving
+        // right after, must find no leader running and lead its own
+        // work; a leader that quit in a later critical section would
+        // leave it waiting for a poll tick.
+        assert!(state.take_batch().is_none());
+        assert!(!state.leader_running);
+        state.pending.push(pending());
+        assert!(
+            state.try_lead(),
+            "work enqueued after the leader quit is led"
+        );
     }
 
     #[test]

@@ -536,6 +536,40 @@ fn invalid_utf8_line_is_rejected_explicitly() {
 }
 
 #[test]
+fn deeply_nested_line_is_refused_and_connection_kept() {
+    use std::io::{BufRead, BufReader, Write};
+    let (addr, handle) = spawn_server(64);
+    let mut raw = std::net::TcpStream::connect(addr).unwrap();
+    raw.set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .unwrap();
+    // About 200 KB, far under the line cap: a recursive decoder without
+    // a depth bound overflows the connection thread's stack on it,
+    // which aborts the whole process.
+    let depth = 100_000;
+    let line = format!(
+        "{{\"op\":\"stats\",\"x\":{}{}}}\n",
+        "[".repeat(depth),
+        "]".repeat(depth)
+    );
+    raw.write_all(line.as_bytes()).unwrap();
+    let mut reader = BufReader::new(raw.try_clone().unwrap());
+    let mut resp = String::new();
+    reader.read_line(&mut resp).unwrap();
+    assert!(
+        resp.contains("\"ok\":false") && resp.contains("nesting too deep"),
+        "expected a nesting refusal, got {resp:?}"
+    );
+    // The same connection still serves.
+    raw.write_all(b"{\"op\":\"ping\"}\n").unwrap();
+    resp.clear();
+    reader.read_line(&mut resp).unwrap();
+    assert!(resp.contains("\"ok\":true"), "got {resp:?}");
+    let mut c = Client::connect(addr).unwrap();
+    c.shutdown().unwrap();
+    handle.join().unwrap().unwrap();
+}
+
+#[test]
 fn semantic_cache_serves_isomorphic_clients() {
     let (addr, handle) = spawn_server(64);
     let mut c = Client::connect(addr).unwrap();

@@ -1,11 +1,12 @@
 //! Offline shim for the subset of `serde_json` used by this workspace:
 //! the [`Value`] tree, [`Map`], the [`json!`] macro for flat object
-//! literals, [`to_string`] / [`to_string_pretty`], and a full
-//! recursive-descent parser ([`from_str`]). No serde derive integration
-//! — consumers build and walk `Value`s by hand. The bench harness uses
-//! it for baselines and the `cqchase-service` wire protocol for its
-//! newline-delimited JSON requests, so `to_string`/`from_str` must
-//! round-trip every value tree (enforced by `tests/proptest_json.rs`).
+//! literals, [`to_string`] / [`to_string_pretty`], and a depth-bounded
+//! recursive-descent parser ([`from_str`]) that runs in time linear in
+//! its input. No serde derive integration — consumers build and walk
+//! `Value`s by hand. The bench harness uses it for baselines and the
+//! `cqchase-service` wire protocol for its newline-delimited JSON
+//! requests, so `to_string`/`from_str` must round-trip every value tree
+//! (enforced by `tests/proptest_json.rs`).
 
 #![forbid(unsafe_code)]
 
@@ -377,14 +378,14 @@ impl fmt::Display for Error {
 impl std::error::Error for Error {}
 
 /// Parses a JSON document into a [`Value`] (recursive descent over the
-/// full JSON grammar; `\u` escapes are decoded, surrogate pairs
-/// included). Trailing non-whitespace is an error, like upstream.
+/// JSON grammar; `\u` escapes are decoded, surrogate pairs included) in
+/// time linear in `s`. Arrays and objects nested more than 128 deep,
+/// and trailing non-whitespace, are errors.
 pub fn from_str(s: &str) -> Result<Value, Error> {
-    let bytes = s.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
+    let value = parse_value(s, &mut pos, 0)?;
+    skip_ws(s.as_bytes(), &mut pos);
+    if pos != s.len() {
         return Err(Error::parse(pos, "trailing characters"));
     }
     Ok(value)
@@ -405,14 +406,24 @@ fn expect(b: &[u8], pos: &mut usize, lit: &'static [u8], msg: &'static str) -> R
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, Error> {
+/// Deepest array/object nesting [`from_str`] accepts. The parser
+/// recurses once per level, so the bound keeps a hostile document (a
+/// megabyte of `[`) from overflowing the thread's stack; past it the
+/// parse fails with an ordinary [`Error`]. Wire values nest about six
+/// levels deep.
+const MAX_DEPTH: usize = 128;
+
+/// One value at `pos`; `depth` counts the arrays and objects around it.
+fn parse_value(s: &str, pos: &mut usize, depth: usize) -> Result<Value, Error> {
+    let b = s.as_bytes();
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err(Error::parse(*pos, "unexpected end of input")),
         Some(b'n') => expect(b, pos, b"null", "expected `null`").map(|()| Value::Null),
         Some(b't') => expect(b, pos, b"true", "expected `true`").map(|()| Value::Bool(true)),
         Some(b'f') => expect(b, pos, b"false", "expected `false`").map(|()| Value::Bool(false)),
-        Some(b'"') => parse_string(b, pos).map(Value::String),
+        Some(b'"') => parse_string(s, pos).map(Value::String),
+        Some(b'[' | b'{') if depth == MAX_DEPTH => Err(Error::parse(*pos, "nesting too deep")),
         Some(b'[') => {
             *pos += 1;
             let mut items = Vec::new();
@@ -422,7 +433,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, Error> {
                 return Ok(Value::Array(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(s, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -444,10 +455,10 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, Error> {
             }
             loop {
                 skip_ws(b, pos);
-                let key = parse_string(b, pos)?;
+                let key = parse_string(s, pos)?;
                 skip_ws(b, pos);
                 expect(b, pos, b":", "expected `:`")?;
-                map.insert(key, parse_value(b, pos)?);
+                map.insert(key, parse_value(s, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -463,59 +474,49 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, Error> {
     }
 }
 
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, Error> {
+fn parse_string(s: &str, pos: &mut usize) -> Result<String, Error> {
+    let b = s.as_bytes();
     expect(b, pos, b"\"", "expected string")?;
     let mut out = String::new();
     loop {
-        match b.get(*pos) {
-            None => return Err(Error::parse(*pos, "unterminated string")),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                let esc = *b.get(*pos).ok_or(Error::parse(*pos, "bad escape"))?;
-                *pos += 1;
-                match esc {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'b' => out.push('\u{0008}'),
-                    b'f' => out.push('\u{000C}'),
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
-                    b'u' => {
-                        let hi = parse_hex4(b, pos)?;
-                        let code = if (0xD800..0xDC00).contains(&hi) {
-                            // Surrogate pair: a second \uXXXX must follow.
-                            expect(b, pos, b"\\u", "expected low surrogate")?;
-                            let lo = parse_hex4(b, pos)?;
-                            if !(0xDC00..0xE000).contains(&lo) {
-                                return Err(Error::parse(*pos, "invalid low surrogate"));
-                            }
-                            0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-                        } else {
-                            hi
-                        };
-                        out.push(
-                            char::from_u32(code)
-                                .ok_or(Error::parse(*pos, "invalid unicode escape"))?,
-                        );
+        // Copy the run up to the next `"` or `\` in one piece: both are
+        // ASCII, so the run ends on a char boundary of the input.
+        let run = b[*pos..]
+            .iter()
+            .position(|&c| c == b'"' || c == b'\\')
+            .ok_or(Error::parse(b.len(), "unterminated string"))?;
+        out.push_str(&s[*pos..*pos + run]);
+        *pos += run + 1;
+        if b[*pos - 1] == b'"' {
+            return Ok(out);
+        }
+        let esc = *b.get(*pos).ok_or(Error::parse(*pos, "bad escape"))?;
+        *pos += 1;
+        match esc {
+            b'"' => out.push('"'),
+            b'\\' => out.push('\\'),
+            b'/' => out.push('/'),
+            b'b' => out.push('\u{0008}'),
+            b'f' => out.push('\u{000C}'),
+            b'n' => out.push('\n'),
+            b'r' => out.push('\r'),
+            b't' => out.push('\t'),
+            b'u' => {
+                let hi = parse_hex4(b, pos)?;
+                let code = if (0xD800..0xDC00).contains(&hi) {
+                    // Surrogate pair: a second \uXXXX must follow.
+                    expect(b, pos, b"\\u", "expected low surrogate")?;
+                    let lo = parse_hex4(b, pos)?;
+                    if !(0xDC00..0xE000).contains(&lo) {
+                        return Err(Error::parse(*pos, "invalid low surrogate"));
                     }
-                    _ => return Err(Error::parse(*pos, "unknown escape")),
-                }
+                    0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
+                } else {
+                    hi
+                };
+                out.push(char::from_u32(code).ok_or(Error::parse(*pos, "invalid unicode escape"))?);
             }
-            Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so this is
-                // always a char boundary walk).
-                let rest = &b[*pos..];
-                let s = std::str::from_utf8(rest).map_err(|_| Error::parse(*pos, "bad utf-8"))?;
-                let c = s.chars().next().expect("nonempty");
-                out.push(c);
-                *pos += c.len_utf8();
-            }
+            _ => return Err(Error::parse(*pos, "unknown escape")),
         }
     }
 }
@@ -732,5 +733,32 @@ mod tests {
         assert!(from_str("{} extra").is_err());
         assert!(from_str("nulx").is_err());
         assert!(from_str("[1,").is_err());
+    }
+
+    fn nested(open: &str, close: &str, depth: usize) -> String {
+        format!("{}null{}", open.repeat(depth), close.repeat(depth))
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_max_depth() {
+        for (open, close) in [("[", "]"), ("{\"k\":", "}")] {
+            assert!(from_str(&nested(open, close, MAX_DEPTH)).is_ok());
+            let err = from_str(&nested(open, close, MAX_DEPTH + 1)).unwrap_err();
+            assert!(err.to_string().contains("nesting too deep"), "{err}");
+        }
+        // Far past the bound is the same ordinary error, not a stack
+        // overflow.
+        assert!(from_str(&nested("[", "]", 100_000)).is_err());
+    }
+
+    #[test]
+    fn string_runs_split_at_escapes() {
+        let v = from_str(r#"["é\"𝔸\\\u00e9\ud835\udd38x", "", "\"\""]"#).unwrap();
+        assert_eq!(v[0].as_str(), Some("é\"𝔸\\é𝔸x"));
+        assert_eq!(v[1].as_str(), Some(""));
+        assert_eq!(v[2].as_str(), Some("\"\""));
+        assert!(from_str("\"abc").is_err());
+        assert!(from_str("\"abc\\").is_err());
+        assert!(from_str("\"\\q\"").is_err());
     }
 }

@@ -197,6 +197,31 @@ EVALS_JSON=$(echo "$S" | grep -oE '"eval":\{"count":[0-9]+' | grep -oE '[0-9]+')
 echo "$MT" | grep -q "^cqchase_endpoints_eval_count $EVALS_JSON\$" \
     || fail "metrics eval count disagrees with stats JSON ($EVALS_JSON)"
 
+# --- wire limits: hostile nesting, a ~1 MiB register line ------------
+# 100 000 nested arrays (~200 KB, under the 8 MiB line cap) must come
+# back as an ordinary refusal on a connection that keeps serving; an
+# unbounded recursive decoder overflows its stack and aborts the server.
+NEST=$(printf '%*s' 100000 '' | tr ' ' '[')$(printf '%*s' 100000 '' | tr ' ' ']')
+printf '{"op":"stats","x":%s}\n{"op":"ping"}\n' "$NEST" > "$TMP/nest.jsonl"
+NR=$("$BIN" request --addr "$ADDR" - < "$TMP/nest.jsonl" || true)
+kill -0 "$SERVER_PID" 2>/dev/null || fail "nesting probe killed the server"
+echo "$NR" | head -1 | grep -q '"ok":false' || fail "nesting probe must be refused"
+echo "$NR" | head -1 | grep -q 'nesting too deep' || fail "nesting refusal should say why"
+echo "$NR" | sed -n 2p | grep -q '"ok":true' || fail "ping after the nesting probe not answered"
+req '{"op":"ping"}' | grep -q '"ok":true' || fail "server not serving after the nesting probe"
+# Decode is linear in line length: a ~1 MiB program registers in
+# seconds (a per-character rescan of the line takes minutes of CPU).
+{
+    printf '{"op":"register","session":"big","program":"relation R(a, b). Q(x) :- R(x, y).'
+    seq 0 74999 | awk '{printf " R(%d, %d).", $1, $1 + 1}'
+    printf '"}\n'
+} > "$TMP/big.jsonl"
+BIG_BYTES=$(wc -c < "$TMP/big.jsonl")
+[ "$BIG_BYTES" -gt 1000000 ] || fail "big register line is only $BIG_BYTES bytes"
+BR=$(timeout 10 "$BIN" request --addr "$ADDR" - < "$TMP/big.jsonl") \
+    || fail "a $BIG_BYTES-byte register line was not acknowledged within 10 s"
+echo "$BR" | grep -q '"ok":true' || fail "big register not ok: $BR"
+
 # --- shutdown: server must exit cleanly ------------------------------
 req '{"op":"shutdown"}' | grep -q '"ok":true' || fail "shutdown not ok"
 for _ in $(seq 50); do
