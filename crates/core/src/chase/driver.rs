@@ -18,9 +18,10 @@
 //! convention (Maier, Mendelzon & Sagiv show the result is unique up to
 //! variable renaming regardless).
 
-use std::collections::BTreeSet;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
-use cqchase_index::{CancelToken, FxHashMap, FxHashSet};
+use cqchase_index::CancelToken;
 use cqchase_ir::{Catalog, ConjunctiveQuery, DependencySet, Fd, Ind};
 
 use super::fd::fd_phase;
@@ -64,10 +65,10 @@ pub const DEFAULT_MAX_STEPS: usize = 1_000_000;
 /// Default cap on conjuncts ever created
 /// ([`ChaseBudget::max_conjuncts`]).
 ///
-/// Conjuncts dominate chase memory (terms plus posting/dedup/occurrence
-/// index entries — roughly a few hundred bytes each), so a quarter
-/// million caps a single chase at tens of megabytes. Override per call
-/// site, or from the experiments CLI via `--max-conjuncts`.
+/// Conjuncts dominate chase memory, about 330–440 heap bytes each
+/// (allocator-counted on long cyclic width-1, key-based and Figure 1
+/// chases), so a quarter million caps a single chase near 110 MB.
+/// Override per call site, or from the experiments CLI via `--max-conjuncts`.
 pub const DEFAULT_MAX_CONJUNCTS: usize = 250_000;
 
 impl Default for ChaseBudget {
@@ -108,14 +109,17 @@ pub struct Chase {
     mode: ChaseMode,
     fds: Vec<Fd>,
     inds: Vec<Ind>,
-    /// Conjuncts that still have unprocessed applicable INDs, keyed by
-    /// (level, id) so the scheduler's min is the paper's choice.
-    pending: BTreeSet<(u32, ConjId)>,
-    /// Side map: pending key currently stored for each conjunct (levels
+    /// Conjuncts that still have unprocessed applicable INDs: a min-heap
+    /// of (level, id), so the scheduler's min is the paper's choice.
+    /// Entries are dropped lazily: one counts only while it matches
+    /// `pending_key`, and the top always does.
+    pending: BinaryHeap<Reverse<(u32, ConjId)>>,
+    /// Pending key currently stored for each conjunct, by id (levels
     /// can shrink on FD merges).
-    pending_key: FxHashMap<ConjId, u32>,
-    /// `(conjunct, ind index)` pairs already handled.
-    processed: FxHashSet<(ConjId, usize)>,
+    pending_key: Vec<Option<u32>>,
+    /// `processed[id · |inds| + i]`: IND `i` was already handled for
+    /// conjunct `id`.
+    processed: Vec<bool>,
     steps: usize,
     fd_steps: usize,
     /// Cooperative stop signal, consulted once per scheduling step.
@@ -143,18 +147,15 @@ impl Chase {
             mode,
             fds,
             inds,
-            pending: BTreeSet::new(),
-            pending_key: FxHashMap::default(),
-            processed: FxHashSet::default(),
+            pending: BinaryHeap::new(),
+            pending_key: Vec::new(),
+            processed: Vec::new(),
             steps: 0,
             fd_steps,
             cancel: None,
         };
-        if !chase.state.failed {
-            let ids: Vec<ConjId> = chase.state.alive_conjuncts().map(|(id, _)| id).collect();
-            for id in ids {
-                chase.refresh_pending(id);
-            }
+        for id in 0..chase.state.all_conjuncts().len() as u32 {
+            chase.refresh_pending(ConjId(id));
         }
         chase
     }
@@ -202,41 +203,47 @@ impl Chase {
     /// level ≤ `frontier_level()` already exist; `None` means the chase
     /// is complete (every level of the finite chase is built).
     pub fn frontier_level(&self) -> Option<u32> {
-        self.pending.iter().next().map(|&(l, _)| l)
+        self.pending.peek().map(|&Reverse((l, _))| l)
     }
 
-    /// Whether the IND at `ind_idx` applies to conjunct `id` and has not
-    /// been handled yet.
+    /// The INDs (by index, in Σ order) that apply to conjunct `id` and
+    /// have not been handled yet.
     fn unprocessed_inds(&self, id: ConjId) -> impl Iterator<Item = usize> + '_ {
         let rel = self.state.conjunct(id).rel;
-        self.inds
-            .iter()
-            .enumerate()
-            .filter(move |(_, ind)| ind.lhs_rel == rel)
-            .map(|(i, _)| i)
-            .filter(move |i| !self.processed.contains(&(id, *i)))
+        (0..self.inds.len())
+            .filter(move |&i| self.inds[i].lhs_rel == rel && !self.is_processed(id, i))
+    }
+
+    fn is_processed(&self, id: ConjId, ind_idx: usize) -> bool {
+        let at = id.index() * self.inds.len() + ind_idx;
+        self.processed.get(at).copied().unwrap_or(false)
+    }
+
+    fn mark_processed(&mut self, id: ConjId, ind_idx: usize) {
+        let at = id.index() * self.inds.len() + ind_idx;
+        if self.processed.len() <= at {
+            self.processed.resize(at + 1, false);
+        }
+        self.processed[at] = true;
     }
 
     fn refresh_pending(&mut self, id: ConjId) {
-        let alive = self.state.conjunct(id).alive;
-        let has_work = alive && self.unprocessed_inds(id).next().is_some();
-        let level = self.state.conjunct(id).level;
-        match (self.pending_key.get(&id).copied(), has_work) {
-            (Some(old), true) if old == level => {}
-            (Some(old), true) => {
-                self.pending.remove(&(old, id));
-                self.pending.insert((level, id));
-                self.pending_key.insert(id, level);
+        let c = self.state.conjunct(id);
+        let key = (c.alive && self.unprocessed_inds(id).next().is_some()).then_some(c.level);
+        if self.pending_key.len() <= id.index() {
+            self.pending_key.resize(id.index() + 1, None);
+        }
+        let old = std::mem::replace(&mut self.pending_key[id.index()], key);
+        if old != key {
+            if let Some(level) = key {
+                self.pending.push(Reverse((level, id)));
             }
-            (Some(old), false) => {
-                self.pending.remove(&(old, id));
-                self.pending_key.remove(&id);
+            while let Some(&Reverse((level, top))) = self.pending.peek() {
+                if self.pending_key[top.index()] == Some(level) {
+                    break;
+                }
+                self.pending.pop();
             }
-            (None, true) => {
-                self.pending.insert((level, id));
-                self.pending_key.insert(id, level);
-            }
-            (None, false) => {}
         }
     }
 
@@ -247,19 +254,14 @@ impl Chase {
             // the merged conjunct *is* one conjunct, so "applied once"
             // transfers too.
             for i in 0..self.inds.len() {
-                if self.processed.contains(&(m.dead, i)) {
-                    self.processed.insert((m.survivor, i));
+                if self.is_processed(m.dead, i) {
+                    self.mark_processed(m.survivor, i);
                 }
             }
+            // A merge lowers no level but the survivor's, so these two
+            // refreshes keep every pending key exact.
             self.refresh_pending(m.dead);
             self.refresh_pending(m.survivor);
-        }
-        if !merges.is_empty() {
-            // Levels may have shrunk anywhere; refresh every pending key.
-            let ids: Vec<ConjId> = self.pending_key.keys().copied().collect();
-            for id in ids {
-                self.refresh_pending(id);
-            }
         }
     }
 
@@ -270,7 +272,7 @@ impl Chase {
         if self.state.failed {
             return false;
         }
-        let Some(&(_, id)) = self.pending.iter().next() else {
+        let Some(&Reverse((_, id))) = self.pending.peek() else {
             return false;
         };
         let Some(ind_idx) = self.unprocessed_inds(id).next() else {
@@ -278,7 +280,7 @@ impl Chase {
             return !self.pending.is_empty();
         };
         self.steps += 1;
-        self.processed.insert((id, ind_idx));
+        self.mark_processed(id, ind_idx);
         let witness = match self.mode {
             ChaseMode::Oblivious => {
                 // The O-chase applies regardless; the only exception is an
@@ -299,8 +301,7 @@ impl Chase {
                 record_cross(&mut self.state, id, w, ind_idx);
             }
             None => {
-                let ind = self.inds[ind_idx].clone();
-                let child = apply_ind(&mut self.state, id, &ind, ind_idx);
+                let child = apply_ind(&mut self.state, id, &self.inds[ind_idx], ind_idx);
                 // Instruction (1): exhaust FDs, which only the new
                 // conjunct can have triggered.
                 if !self.fds.is_empty() {

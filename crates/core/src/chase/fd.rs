@@ -79,8 +79,7 @@ pub(crate) fn fd_phase(
     loop {
         match state.find_applicable_fd(fds, involving) {
             Some((c1, c2, fd_idx)) => {
-                let fd = fds[fd_idx].clone();
-                merges.extend(apply(state, c1, c2, &fd)?);
+                merges.extend(apply(state, c1, c2, &fds[fd_idx])?);
                 steps += 1;
                 involving = None; // substitution may enable arbitrary pairs
             }
@@ -114,7 +113,7 @@ mod tests {
         // Surviving term is `y` (created before `z`, so lex-first).
         let (_, c) = st.alive_conjuncts().next().unwrap();
         let v = c.terms[1].as_var().unwrap();
-        assert_eq!(st.var_info(v).name, "y");
+        assert_eq!(st.var_name(v), "y");
     }
 
     #[test]
@@ -127,7 +126,7 @@ mod tests {
         fd_phase(&mut st, &fds, None).unwrap();
         let (_, c) = st.alive_conjuncts().next().unwrap();
         let v = c.terms[1].as_var().unwrap();
-        assert_eq!(st.var_info(v).name, "w");
+        assert_eq!(st.var_name(v), "w");
         // Summary row untouched (it already held w).
         assert_eq!(st.summary()[1], CTerm::Var(v));
     }

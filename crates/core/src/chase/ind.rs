@@ -25,18 +25,14 @@ pub(crate) fn apply_ind(
     ind: &Ind,
     ind_idx: usize,
 ) -> ConjId {
-    let parent_terms = state.conjunct(parent).terms.clone();
     let level = state.conjunct(parent).level + 1;
     let arity = state.catalog().arity(ind.rhs_rel);
     let mut terms = Vec::with_capacity(arity);
     for col in 0..arity {
-        match ind.rhs_cols.iter().position(|&y| y == col) {
-            Some(k) => terms.push(parent_terms[ind.lhs_cols[k]].clone()),
-            None => {
-                let v = state.fresh_var(col, parent, ind_idx, level);
-                terms.push(CTerm::Var(v));
-            }
-        }
+        terms.push(match ind.rhs_cols.iter().position(|&y| y == col) {
+            Some(k) => state.conjunct(parent).terms[ind.lhs_cols[k]].clone(),
+            None => CTerm::Var(state.fresh_var(col, parent, ind_idx, level)),
+        });
     }
     let child = state.push_conjunct(ind.rhs_rel, terms, level);
     state.arcs.push(ChaseArc {

@@ -23,9 +23,7 @@ pub use bound::{theorem2_bound, theorem2_bound_raw};
 pub use driver::{
     Chase, ChaseBudget, ChaseMode, ChaseStatus, DEFAULT_MAX_CONJUNCTS, DEFAULT_MAX_STEPS,
 };
-pub use state::{
-    ArcKind, CTerm, CVar, CVarInfo, CVarOrigin, ChaseArc, ChaseState, ConjId, Conjunct,
-};
+pub use state::{ArcKind, CTerm, CVar, CVarOrigin, ChaseArc, ChaseState, ConjId, Conjunct};
 
 use cqchase_ir::{Catalog, ConjunctiveQuery, DependencySet};
 
@@ -118,7 +116,7 @@ mod tests {
                 .iter()
                 .map(|t| match t {
                     CTerm::Const(k) => Value::Const(k.clone()),
-                    CTerm::Var(v) => Value::Const(Constant::str(&ch.state().var_info(*v).name)),
+                    CTerm::Var(v) => Value::Const(Constant::str(ch.state().var_name(*v))),
                 })
                 .collect();
             db.insert(c.rel, tuple).unwrap();

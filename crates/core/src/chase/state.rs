@@ -3,15 +3,17 @@
 //! the incrementally maintained indexes every chase-rule application and
 //! homomorphism search runs against.
 //!
-//! The index side (constant pool, per-column posting lists, whole-row
-//! dedup, per-variable occurrence lists) is derived data: every mutation
-//! goes through [`ChaseState::push_conjunct`] /
-//! [`ChaseState::substitute`] so the two views never diverge. This is
-//! what lets the FD rule, the R-chase's witness checks, and
+//! The index side (constant pool, per-column posting lists, live rows
+//! per relation) is derived data: every mutation goes through
+//! [`ChaseState::push_conjunct`] / [`ChaseState::substitute`] so the two
+//! views never diverge. This is what lets the FD rule, the R-chase's
+//! witness checks, whole-row lookups, and
 //! [`find_chase_hom`](crate::hom::find_chase_hom) run without rescanning
 //! the conjunct vector.
 
-use cqchase_index::{ColumnIndex, DedupIndex, FactSource, FxHashMap, Sym, SymPool};
+use std::borrow::Cow;
+
+use cqchase_index::{ColumnIndex, FactSource, FxHashMap, FxHashSet, Sym, SymPool};
 use cqchase_ir::{Catalog, ConjunctiveQuery, Constant, Ind, RelId, Term, VarId, VarKind};
 
 use crate::hom::TSym;
@@ -84,16 +86,6 @@ pub enum CVarOrigin {
     },
 }
 
-/// Metadata for one chase symbol.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CVarInfo {
-    /// Provenance.
-    pub origin: CVarOrigin,
-    /// Display name (query variables keep their names; created NDVs get
-    /// encoded names).
-    pub name: String,
-}
-
 /// Identifier of a conjunct within the chase, assigned in creation order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ConjId(pub u32);
@@ -163,16 +155,12 @@ pub struct Merge {
 #[derive(Debug, Clone, Default)]
 struct ChaseIndex {
     consts: SymPool<Constant>,
-    /// Posting lists; row ids are `ConjId.0`.
+    /// Posting lists over live conjuncts; row ids are `ConjId.0`.
     cols: ColumnIndex,
-    /// Whole-row dedup over live conjuncts.
-    dedup: DedupIndex,
     /// Interned terms per conjunct (ConjId-indexed, dead rows retained).
     sym_rows: Vec<Vec<Sym>>,
     /// Live conjunct ids per relation, ascending.
     rel_rows: Vec<Vec<u32>>,
-    /// Live conjunct ids containing each chase variable, ascending.
-    var_occ: Vec<Vec<u32>>,
 }
 
 impl ChaseIndex {
@@ -195,26 +183,30 @@ impl ChaseIndex {
         (sym.0 & 1 == 1).then_some(CVar(sym.0 >> 1))
     }
 
-    fn occ_insert(&mut self, sym: Sym, row: u32) {
-        if let Some(v) = ChaseIndex::sym_var(sym) {
-            if self.var_occ.len() <= v.index() {
-                self.var_occ.resize(v.index() + 1, Vec::new());
-            }
-            let list = &mut self.var_occ[v.index()];
-            if let Err(pos) = list.binary_search(&row) {
-                list.insert(pos, row);
-            }
+    /// The smallest live row of `rel` with `syms[col] == sym` for every
+    /// `(col, sym)` in `bound` that `accept` takes. An empty `bound`
+    /// matches every live row of `rel`.
+    fn first_match(
+        &self,
+        rel: RelId,
+        bound: impl Iterator<Item = (usize, Sym)> + Clone,
+        mut accept: impl FnMut(u32) -> bool,
+    ) -> Option<u32> {
+        if bound.clone().next().is_none() {
+            return self.rel_rows[rel.index()]
+                .iter()
+                .find(|&&r| accept(r))
+                .copied();
         }
+        self.cols
+            .first_candidate(rel, bound, |row| &self.sym_rows[row as usize], accept)
     }
 
-    fn occ_remove(&mut self, sym: Sym, row: u32) {
-        if let Some(v) = ChaseIndex::sym_var(sym) {
-            if let Some(list) = self.var_occ.get_mut(v.index()) {
-                if let Ok(pos) = list.binary_search(&row) {
-                    list.remove(pos);
-                }
-            }
-        }
+    /// The live row of `rel` holding exactly `syms`, other than
+    /// `except` — the whole-row lookup (live rows are pairwise
+    /// distinct, so there is at most one).
+    fn find_row(&self, rel: RelId, syms: &[Sym], except: Option<u32>) -> Option<u32> {
+        self.first_match(rel, syms.iter().copied().enumerate(), |r| Some(r) != except)
     }
 }
 
@@ -222,7 +214,11 @@ impl ChaseIndex {
 #[derive(Debug, Clone)]
 pub struct ChaseState {
     pub(crate) catalog: Catalog,
-    pub(crate) vars: Vec<CVarInfo>,
+    /// Provenance of every symbol, by ordinal.
+    pub(crate) vars: Vec<CVarOrigin>,
+    /// The query's variables, for the names of the first ordinals;
+    /// created NDVs are named on demand from their origin.
+    query_vars: cqchase_ir::VarTable,
     pub(crate) conjuncts: Vec<Conjunct>,
     pub(crate) summary: Vec<CTerm>,
     pub(crate) arcs: Vec<ChaseArc>,
@@ -236,8 +232,8 @@ pub struct ChaseState {
 impl ChaseState {
     /// Initializes the state from a query: its conjuncts at level 0, its
     /// variables with DVs preceding NDVs in the symbol order. Syntactic
-    /// duplicates collapse through the dedup index (the paper's `C_Q` is
-    /// a *set* of conjuncts).
+    /// duplicates collapse through a whole-row lookup (the paper's `C_Q`
+    /// is a *set* of conjuncts).
     pub(crate) fn from_query(q: &ConjunctiveQuery, catalog: &Catalog) -> ChaseState {
         // Map query VarIds to chase ordinals: DVs first (in VarId order),
         // then NDVs (in VarId order).
@@ -246,14 +242,10 @@ impl ChaseState {
         let mut to_cvar: FxHashMap<VarId, CVar> = FxHashMap::default();
         let mut vars = Vec::with_capacity(order.len());
         for v in order {
-            let cv = CVar(vars.len() as u32);
-            to_cvar.insert(v, cv);
-            vars.push(CVarInfo {
-                origin: CVarOrigin::Query {
-                    var: v,
-                    kind: q.vars.kind(v),
-                },
-                name: q.vars.name(v).to_owned(),
+            to_cvar.insert(v, CVar(vars.len() as u32));
+            vars.push(CVarOrigin::Query {
+                var: v,
+                kind: q.vars.kind(v),
             });
         }
         let conv = |t: &Term| match t {
@@ -263,6 +255,7 @@ impl ChaseState {
         let mut state = ChaseState {
             catalog: catalog.clone(),
             vars,
+            query_vars: q.vars.clone(),
             conjuncts: Vec::new(),
             summary: q.head.iter().map(conv).collect(),
             arcs: Vec::new(),
@@ -275,12 +268,14 @@ impl ChaseState {
         };
         for a in &q.atoms {
             let terms: Vec<CTerm> = a.terms.iter().map(conv).collect();
-            state.push_conjunct_dedup(a.relation, terms, 0);
+            let syms: Vec<Sym> = terms.iter().map(|t| state.index.term_sym(t)).collect();
+            if state.index.find_row(a.relation, &syms, None).is_none() {
+                state.push_row(a.relation, terms, syms, 0);
+            }
         }
         // Intern summary constants (head constants need not occur in any
         // conjunct, but homomorphism pre-binding must resolve them).
-        let summary = state.summary.clone();
-        for t in &summary {
+        for t in &state.summary {
             state.index.term_sym(t);
         }
         state
@@ -331,9 +326,28 @@ impl ChaseState {
         &self.arcs
     }
 
-    /// Symbol metadata by ordinal.
-    pub fn var_info(&self, v: CVar) -> &CVarInfo {
+    /// Where the symbol `v` came from.
+    pub fn var_origin(&self, v: CVar) -> &CVarOrigin {
         &self.vars[v.index()]
+    }
+
+    /// The display name of `v`: query variables keep their names, and a
+    /// created NDV is named from its origin as `n{ordinal}_c{parent}
+    /// i{ind}a{attr}L{level}` ("a name that encodes A, c, the IND, and
+    /// the level of c′"), rendered only when asked for.
+    pub fn var_name(&self, v: CVar) -> Cow<'_, str> {
+        match self.vars[v.index()] {
+            CVarOrigin::Query { var, .. } => Cow::Borrowed(self.query_vars.name(var)),
+            CVarOrigin::Created {
+                attr,
+                parent,
+                ind_idx,
+                level,
+            } => Cow::Owned(format!(
+                "n{}_c{}i{}a{}L{}",
+                v.0, parent.0, ind_idx, attr, level
+            )),
+        }
     }
 
     /// Number of symbols ever created.
@@ -372,7 +386,7 @@ impl ChaseState {
         h
     }
 
-    /// Creates a fresh NDV with the paper's provenance encoding; its name
+    /// Creates a fresh NDV with the paper's provenance encoding; it
     /// lexicographically follows all earlier symbols by construction
     /// (ordinal order *is* the order).
     pub(crate) fn fresh_var(
@@ -382,32 +396,30 @@ impl ChaseState {
         ind_idx: usize,
         level: u32,
     ) -> CVar {
-        let cv = CVar(self.vars.len() as u32);
-        let name = format!("n{}_c{}i{}a{}L{}", cv.0, parent.0, ind_idx, attr, level);
-        self.vars.push(CVarInfo {
-            origin: CVarOrigin::Created {
-                attr,
-                parent,
-                ind_idx,
-                level,
-            },
-            name,
+        self.vars.push(CVarOrigin::Created {
+            attr,
+            parent,
+            ind_idx,
+            level,
         });
-        cv
+        CVar(self.vars.len() as u32 - 1)
     }
 
     /// Appends a conjunct unconditionally, registering it in every index.
     /// The caller guarantees it is not a duplicate of a live conjunct
     /// (IND children carry fresh NDVs or were witness-checked first).
     pub(crate) fn push_conjunct(&mut self, rel: RelId, terms: Vec<CTerm>, level: u32) -> ConjId {
-        let id = ConjId(self.conjuncts.len() as u32);
         let syms: Vec<Sym> = terms.iter().map(|t| self.index.term_sym(t)).collect();
+        self.push_row(rel, terms, syms, level)
+    }
+
+    fn push_row(&mut self, rel: RelId, terms: Vec<CTerm>, syms: Vec<Sym>, level: u32) -> ConjId {
+        debug_assert!(
+            self.index.find_row(rel, &syms, None).is_none(),
+            "push_conjunct must not duplicate a row"
+        );
+        let id = ConjId(self.conjuncts.len() as u32);
         self.index.cols.insert_row(rel, id.0, &syms);
-        let prev = self.index.dedup.insert(rel, &syms, id.0);
-        debug_assert!(prev.is_none(), "push_conjunct must not duplicate a row");
-        for &s in &syms {
-            self.index.occ_insert(s, id.0);
-        }
         let list = &mut self.index.rel_rows[rel.index()];
         debug_assert!(list.last().is_none_or(|&l| l < id.0));
         list.push(id.0);
@@ -422,28 +434,14 @@ impl ChaseState {
         id
     }
 
-    /// Appends a conjunct unless an identical live one exists (used for
-    /// the level-0 conjuncts, where `C_Q` is a set). Returns the id of
-    /// the representative.
-    fn push_conjunct_dedup(&mut self, rel: RelId, terms: Vec<CTerm>, level: u32) -> ConjId {
-        let syms: Vec<Sym> = terms.iter().map(|t| self.index.term_sym(t)).collect();
-        if let Some(existing) = self.index.dedup.get(rel, &syms) {
-            return ConjId(existing);
-        }
-        self.push_conjunct(rel, terms, level)
-    }
-
     /// Kills `dead`, recording `survivor` as its representative; fixes
     /// every index. The caller has already rewritten terms so that both
     /// rows are identical.
     fn kill_conjunct(&mut self, dead: ConjId, survivor: ConjId) {
         let rel = self.conjuncts[dead.index()].rel;
-        let syms = std::mem::take(&mut self.index.sym_rows[dead.index()]);
-        self.index.cols.remove_row(rel, dead.0, &syms);
-        for &s in &syms {
-            self.index.occ_remove(s, dead.0);
-        }
-        self.index.sym_rows[dead.index()] = syms;
+        self.index
+            .cols
+            .remove_row(rel, dead.0, &self.index.sym_rows[dead.index()]);
         let list = &mut self.index.rel_rows[rel.index()];
         if let Ok(pos) = list.binary_search(&dead.0) {
             list.remove(pos);
@@ -464,11 +462,7 @@ impl ChaseState {
             c.alive = false;
         }
         self.index.cols = ColumnIndex::new(self.catalog.rel_ids().map(|r| self.catalog.arity(r)));
-        self.index.dedup = DedupIndex::new();
         for list in &mut self.index.rel_rows {
-            list.clear();
-        }
-        for list in &mut self.index.var_occ {
             list.clear();
         }
     }
@@ -476,30 +470,29 @@ impl ChaseState {
     /// Substitutes the variable `from ↦ to` through every live conjunct
     /// and the summary row, merging conjuncts that become identical
     /// (earliest id survives, donating the minimum level). This is the
-    /// FD chase rule's mutation primitive; the occurrence index makes it
+    /// FD chase rule's mutation primitive; `from`'s posting lists make it
     /// proportional to the rows actually containing `from`, not the
     /// whole chase.
     pub(crate) fn substitute(&mut self, from: CVar, to: &CTerm) -> Vec<Merge> {
         let from_sym = ChaseIndex::var_sym(from);
         let to_sym = self.index.term_sym(to);
         debug_assert_ne!(from_sym, to_sym);
-        let rows = self
-            .index
-            .var_occ
-            .get_mut(from.index())
-            .map(std::mem::take)
-            .unwrap_or_default();
+        let mut rows: Vec<u32> = Vec::new();
+        for rel in self.catalog.rel_ids() {
+            for col in 0..self.catalog.arity(rel) {
+                rows.extend_from_slice(self.index.cols.posting(rel, col, from_sym));
+            }
+        }
+        rows.sort_unstable();
+        rows.dedup();
         let mut merges = Vec::new();
         for row in rows {
             let id = ConjId(row);
             debug_assert!(self.conjuncts[id.index()].alive);
             let rel = self.conjuncts[id.index()].rel;
-            // Un-register the old row shape.
-            let old_syms = self.index.sym_rows[id.index()].clone();
-            self.index.dedup.remove(rel, &old_syms, row);
             // Rewrite terms + syms + postings in the affected columns.
-            for (col, sym) in old_syms.iter().enumerate() {
-                if *sym == from_sym {
+            for col in 0..self.index.sym_rows[id.index()].len() {
+                if self.index.sym_rows[id.index()][col] == from_sym {
                     self.index
                         .cols
                         .replace_in_col(rel, col, row, from_sym, to_sym);
@@ -507,26 +500,20 @@ impl ChaseState {
                     self.conjuncts[id.index()].terms[col] = to.clone();
                 }
             }
-            self.index.occ_insert(to_sym, row);
-            let new_syms = self.index.sym_rows[id.index()].clone();
-            // Re-register, merging on collision (min id survives).
-            if let Some(other) = self.index.dedup.try_insert(rel, &new_syms, row) {
+            // Merge on collision with another live row (min id survives).
+            let syms = &self.index.sym_rows[id.index()];
+            if let Some(other) = self.index.find_row(rel, syms, Some(row)) {
                 let (survivor, dead) = if other < row {
                     (ConjId(other), id)
                 } else {
                     (id, ConjId(other))
                 };
-                if survivor.0 == row {
-                    // `try_insert` left the old holder in place; the
-                    // rewritten row outranks it.
-                    self.index.dedup.insert(rel, &new_syms, row);
-                }
                 self.kill_conjunct(dead, survivor);
                 merges.push(Merge { dead, survivor });
             }
         }
-        // `from` no longer occurs anywhere; its occurrence list stays
-        // empty. Rewrite the summary row.
+        // `from` no longer occurs in any conjunct. Rewrite the summary
+        // row.
         for t in self.summary.iter_mut() {
             if matches!(t, CTerm::Var(v) if *v == from) {
                 *t = to.clone();
@@ -539,29 +526,17 @@ impl ChaseState {
     /// the IND's right-hand relation with `c″[Y] = parent[X]`. Pure
     /// index intersection; the smallest conjunct id wins (the canonical
     /// witness, matching creation order).
+    /// A width-0 IND (degenerate but constructible) is witnessed by any
+    /// live row of the right-hand relation.
     pub(crate) fn find_witness(&self, ind: &Ind, parent: ConjId) -> Option<ConjId> {
         let parent_syms = &self.index.sym_rows[parent.index()];
-        let bound: Vec<(usize, Sym)> = ind
+        let bound = ind
             .rhs_cols
             .iter()
-            .zip(ind.lhs_cols.iter())
-            .map(|(&y, &x)| (y, parent_syms[x]))
-            .collect();
-        if bound.is_empty() {
-            // Width-0 IND (degenerate but constructible): any live row
-            // of the right-hand relation witnesses it.
-            return self.index.rel_rows[ind.rhs_rel.index()]
-                .first()
-                .map(|&id| ConjId(id));
-        }
+            .zip(&ind.lhs_cols)
+            .map(|(&y, &x)| (y, parent_syms[x]));
         self.index
-            .cols
-            .first_candidate(
-                ind.rhs_rel,
-                &bound,
-                |row| &self.index.sym_rows[row as usize],
-                |_| true,
-            )
+            .first_match(ind.rhs_rel, bound, |_| true)
             .map(ConjId)
     }
 
@@ -572,8 +547,8 @@ impl ChaseState {
     /// containing that conjunct are examined (valid when the state was
     /// FD-quiescent before that conjunct appeared).
     ///
-    /// Uses hash grouping / posting intersection — linear in the rows of
-    /// the FDs' relations instead of quadratic in the chase.
+    /// Uses posting intersection — linear in the rows of the FDs'
+    /// relations instead of quadratic in the chase.
     pub(crate) fn find_applicable_fd(
         &self,
         fds: &[cqchase_ir::Fd],
@@ -596,31 +571,13 @@ impl ChaseState {
                     }
                     // Candidates are visited in ascending id order, so
                     // the first accepted row is this fd's minimal
-                    // applicable partner for `c`.
-                    let accept = |other: u32| {
-                        other != c.0
-                            && self.index.sym_rows[other as usize][fd.rhs] != c_syms[fd.rhs]
-                    };
-                    let bound: Vec<(usize, Sym)> = fd.lhs.iter().map(|&z| (z, c_syms[z])).collect();
-                    let first = if bound.is_empty() {
-                        self.index.rel_rows[rel.index()]
-                            .iter()
-                            .copied()
-                            .find(|&r| accept(r))
-                    } else {
-                        self.index.cols.first_candidate(
-                            rel,
-                            &bound,
-                            |row| &self.index.sym_rows[row as usize],
-                            accept,
-                        )
-                    };
-                    if let Some(other) = first {
-                        let better = match best {
-                            None => true,
-                            Some((o, f)) => other < o || (other == o && fd_idx < f),
-                        };
-                        if better {
+                    // applicable partner for `c` (never `c` itself, whose
+                    // right-hand side equals its own).
+                    let accept =
+                        |other: u32| self.index.sym_rows[other as usize][fd.rhs] != c_syms[fd.rhs];
+                    let bound = fd.lhs.iter().map(|&z| (z, c_syms[z]));
+                    if let Some(other) = self.index.first_match(rel, bound, accept) {
+                        if best.is_none_or(|b| (other, fd_idx) < b) {
                             best = Some((other, fd_idx));
                         }
                     }
@@ -637,33 +594,23 @@ impl ChaseState {
                 // exactly the pair-major schedule of the naive scan.
                 let mut best: Option<(u32, u32, usize)> = None;
                 for (fd_idx, fd) in fds.iter().enumerate() {
-                    let mut groups: FxHashMap<Vec<Sym>, (u32, Sym)> = FxHashMap::default();
                     for &row in &self.index.rel_rows[fd.relation.index()] {
                         let syms = &self.index.sym_rows[row as usize];
-                        let key: Vec<Sym> = fd.lhs.iter().map(|&z| syms[z]).collect();
-                        let rhs = syms[fd.rhs];
-                        match groups.get(&key) {
-                            None => {
-                                groups.insert(key, (row, rhs));
-                            }
-                            Some(&(first, first_rhs)) => {
-                                if rhs != first_rhs {
-                                    // Rows are visited in ascending id
-                                    // order, so (first, row) is this
-                                    // group's minimal applicable pair.
-                                    let better = match best {
-                                        None => true,
-                                        Some((b1, b2, bf)) => (first, row, fd_idx) < (b1, b2, bf),
-                                    };
-                                    if better {
-                                        best = Some((first, row, fd_idx));
-                                    }
-                                    // Later rows in this group can only
-                                    // form larger pairs; but keep the
-                                    // first entry so other rows still
-                                    // compare against the group minimum.
-                                }
-                            }
+                        // The smallest row agreeing with `row` on the
+                        // left-hand side (`row` itself at the latest).
+                        let bound = fd.lhs.iter().map(|&z| (z, syms[z]));
+                        let Some(first) = self.index.first_match(fd.relation, bound, |_| true)
+                        else {
+                            continue;
+                        };
+                        // Rows are visited in ascending id order, so
+                        // (first, row) is the minimal applicable pair
+                        // ending in `row`.
+                        let pair = (first, row, fd_idx);
+                        if self.index.sym_rows[first as usize][fd.rhs] != syms[fd.rhs]
+                            && best.is_none_or(|b| pair < b)
+                        {
+                            best = Some(pair);
                         }
                     }
                 }
@@ -692,11 +639,64 @@ impl ChaseState {
             }
             match t {
                 CTerm::Const(k) => s.push_str(&k.to_string()),
-                CTerm::Var(v) => s.push_str(&self.vars[v.index()].name),
+                CTerm::Var(v) => s.push_str(&self.var_name(*v)),
             }
         }
         s.push(')');
         s
+    }
+}
+
+impl ChaseState {
+    /// Checks the derived indexes against the live conjuncts, for tests:
+    /// the interned rows, posting lists and per-relation rows must equal
+    /// a rebuild, live rows must be pairwise distinct, and the whole-row
+    /// lookup and [`ChaseState::find_witness`] (for every IND of `inds`)
+    /// must agree with a linear scan. Returns the first disagreement.
+    #[doc(hidden)]
+    pub fn check_indexes(&self, inds: &[Ind]) -> Result<(), String> {
+        let live: Vec<(ConjId, &Conjunct)> = self.alive_conjuncts().collect();
+        let mut cols = ColumnIndex::new(self.catalog.rel_ids().map(|r| self.catalog.arity(r)));
+        let mut rel_rows = vec![Vec::new(); self.catalog.len()];
+        let mut distinct = FxHashSet::default();
+        for &(id, c) in &live {
+            let syms = &self.index.sym_rows[id.index()];
+            let interned = c.terms.iter().zip(syms).all(|(t, &s)| match t {
+                CTerm::Var(v) => s == ChaseIndex::var_sym(*v),
+                CTerm::Const(k) => self.index.consts.get(k) == Some(Sym(s.0 >> 1)),
+            });
+            if !interned || !distinct.insert((c.rel, syms)) {
+                return Err(format!("c{}: stale or duplicate row", id.0));
+            }
+            cols.insert_row(c.rel, id.0, syms);
+            rel_rows[c.rel.index()].push(id.0);
+        }
+        if cols != self.index.cols || rel_rows != self.index.rel_rows {
+            return Err("posting lists or per-relation rows differ from a rebuild".into());
+        }
+        for &(id, c) in &live {
+            let found = self
+                .index
+                .find_row(c.rel, &self.index.sym_rows[id.index()], None);
+            if found != Some(id.0) {
+                return Err(format!("c{}: whole-row lookup found {found:?}", id.0));
+            }
+            for ind in inds.iter().filter(|ind| ind.lhs_rel == c.rel) {
+                let scan = live.iter().map(|&(w, _)| w).find(|&w| {
+                    let w = self.conjunct(w);
+                    w.rel == ind.rhs_rel
+                        && (ind.rhs_cols.iter().zip(&ind.lhs_cols))
+                            .all(|(&y, &x)| w.terms[y] == c.terms[x])
+                });
+                if self.find_witness(ind, id) != scan {
+                    return Err(format!(
+                        "c{}: witness for {ind:?} differs from a scan",
+                        id.0
+                    ));
+                }
+            }
+        }
+        Ok(())
     }
 }
 
@@ -810,17 +810,17 @@ mod tests {
         // Query variable order is x, y (NDVs interned first in the body)
         // …actually z is the head DV and interned first. Regardless of
         // interning order, the chase order must put the DV `z` first.
-        assert_eq!(st.vars[0].name, "z");
+        assert_eq!(st.var_name(CVar(0)), "z");
         assert!(matches!(
-            st.vars[0].origin,
+            st.vars[0],
             CVarOrigin::Query {
                 kind: VarKind::Distinguished,
                 ..
             }
         ));
-        for info in &st.vars[1..] {
+        for origin in &st.vars[1..] {
             assert!(matches!(
-                info.origin,
+                origin,
                 CVarOrigin::Query {
                     kind: VarKind::Existential,
                     ..
@@ -859,15 +859,15 @@ mod tests {
         let v = st.fresh_var(1, ConjId(0), 0, 1);
         assert_eq!(v.index(), before);
         assert!(matches!(
-            st.var_info(v).origin,
+            st.var_origin(v),
             CVarOrigin::Created {
                 attr: 1,
                 level: 1,
                 ..
             }
         ));
-        // Encoded name mentions provenance.
-        assert!(st.var_info(v).name.contains("c0"));
+        // The name encodes the provenance.
+        assert_eq!(st.var_name(v), format!("n{before}_c0i0a1L1"));
     }
 
     #[test]

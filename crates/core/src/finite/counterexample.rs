@@ -96,7 +96,7 @@ mod tests {
         let x = ex.q1.vars.resolve("x").unwrap();
         // Find the chase symbol for x (the single DV: ordinal 0).
         let st = ch.state();
-        assert_eq!(st.var_info(crate::chase::CVar(0)).name, "x");
+        assert_eq!(st.var_name(crate::chase::CVar(0)), "x");
         let _ = x;
         for (_, c) in st.alive_conjuncts() {
             assert_ne!(

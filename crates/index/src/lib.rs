@@ -13,10 +13,12 @@
 //! * [`Sym`] / [`SymPool`] — interned `u32` symbols, so the hot paths
 //!   compare and hash machine words instead of cloning [`Constant`]s;
 //! * [`ColumnIndex`] — per-relation, per-column posting lists
-//!   `(rel, col, sym) → sorted row ids`, maintained incrementally under
-//!   insertion, deletion, and symbol substitution;
-//! * [`DedupIndex`] — hash-based duplicate detection of whole rows (the
-//!   chase's "sets of conjuncts don't duplicate" rule as an O(1) lookup);
+//!   `(rel, col, sym) → sorted row ids` (singletons held inline),
+//!   maintained incrementally under insertion, deletion, and symbol
+//!   substitution;
+//! * [`DedupIndex`] — hash-based duplicate detection of whole rows, for
+//!   database updates (the chase finds whole rows through its posting
+//!   lists instead);
 //! * [`FactSource`] + [`join`] — the join engine: compile-time
 //!   cost-based atom ordering (selectivities from live-row and
 //!   per-column distinct counts), a Yannakakis semijoin fast path for

@@ -18,11 +18,80 @@ use crate::sym::Sym;
 /// with [`FxHasher`](crate::fx::FxHasher): keys are interned symbols we
 /// produce ourselves, so SipHash's DoS resistance buys nothing and its
 /// cost sits on the join engine's innermost probe.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ColumnIndex {
     /// One map per relation per column.
-    rels: Vec<Vec<FxHashMap<Sym, Vec<u32>>>>,
+    rels: Vec<Vec<FxHashMap<Sym, Posting>>>,
 }
+
+/// One posting list. Most symbols of a chase or a database sit in a
+/// single row of a column (every fresh NDV does), so a singleton is
+/// held inline and costs no allocation; a second row spills it to a
+/// sorted `Vec`.
+#[derive(Debug, Clone)]
+enum Posting {
+    One(u32),
+    Many(Vec<u32>),
+}
+
+impl Posting {
+    fn as_slice(&self) -> &[u32] {
+        match self {
+            Posting::One(row) => std::slice::from_ref(row),
+            Posting::Many(list) => list,
+        }
+    }
+
+    fn insert(&mut self, row: u32) {
+        match self {
+            Posting::One(only) if *only == row => {}
+            Posting::One(only) => {
+                let only = *only;
+                *self = Posting::Many(if only < row {
+                    vec![only, row]
+                } else {
+                    vec![row, only]
+                });
+            }
+            Posting::Many(list) => {
+                if let Err(pos) = list.binary_search(&row) {
+                    list.insert(pos, row);
+                }
+            }
+        }
+    }
+
+    /// Removes `row`; returns whether the list is now empty (the caller
+    /// then drops the entry, keeping distinct counts exact).
+    fn remove(&mut self, row: u32) -> bool {
+        match self {
+            Posting::One(only) => *only == row,
+            Posting::Many(list) => {
+                if let Ok(pos) = list.binary_search(&row) {
+                    list.remove(pos);
+                }
+                list.is_empty()
+            }
+        }
+    }
+
+    /// Heap capacity in row ids.
+    fn capacity(&self) -> usize {
+        match self {
+            Posting::One(_) => 0,
+            Posting::Many(list) => list.capacity(),
+        }
+    }
+}
+
+/// Postings compare by their rows, not by representation.
+impl PartialEq for Posting {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for Posting {}
 
 impl ColumnIndex {
     /// An index over relations with the given arities.
@@ -38,25 +107,30 @@ impl ColumnIndex {
     /// Registers `row` (with symbols `syms`) under every column of `rel`.
     pub fn insert_row(&mut self, rel: RelId, row: u32, syms: &[Sym]) {
         for (col, &sym) in syms.iter().enumerate() {
-            let list = self.rels[rel.index()][col].entry(sym).or_default();
-            match list.binary_search(&row) {
-                Ok(_) => {}
-                Err(pos) => list.insert(pos, row),
+            Self::add(&mut self.rels[rel.index()][col], sym, row);
+        }
+    }
+
+    fn add(map: &mut FxHashMap<Sym, Posting>, sym: Sym, row: u32) {
+        use std::collections::hash_map::Entry;
+        match map.entry(sym) {
+            Entry::Occupied(mut e) => e.get_mut().insert(row),
+            Entry::Vacant(e) => {
+                e.insert(Posting::One(row));
             }
+        }
+    }
+
+    fn drop_row(map: &mut FxHashMap<Sym, Posting>, sym: Sym, row: u32) {
+        if map.get_mut(&sym).is_some_and(|p| p.remove(row)) {
+            map.remove(&sym);
         }
     }
 
     /// Removes `row` (with symbols `syms`) from every column of `rel`.
     pub fn remove_row(&mut self, rel: RelId, row: u32, syms: &[Sym]) {
         for (col, &sym) in syms.iter().enumerate() {
-            if let Some(list) = self.rels[rel.index()][col].get_mut(&sym) {
-                if let Ok(pos) = list.binary_search(&row) {
-                    list.remove(pos);
-                }
-                if list.is_empty() {
-                    self.rels[rel.index()][col].remove(&sym);
-                }
-            }
+            Self::drop_row(&mut self.rels[rel.index()][col], sym, row);
         }
     }
 
@@ -80,10 +154,12 @@ impl ColumnIndex {
     pub fn shrink_rel(&mut self, rel: RelId) -> usize {
         let mut freed = 0usize;
         for m in &mut self.rels[rel.index()] {
-            for list in m.values_mut() {
-                if list.len() < list.capacity() / 4 {
-                    freed += list.capacity() - list.len();
-                    list.shrink_to_fit();
+            for posting in m.values_mut() {
+                if let Posting::Many(list) = posting {
+                    if list.len() < list.capacity() / 4 {
+                        freed += list.capacity() - list.len();
+                        list.shrink_to_fit();
+                    }
                 }
             }
             if m.len() < m.capacity() / 4 {
@@ -97,19 +173,9 @@ impl ColumnIndex {
     /// Moves `row` from `from`'s posting list to `to`'s in column `col`
     /// of `rel` (the FD substitution primitive).
     pub fn replace_in_col(&mut self, rel: RelId, col: usize, row: u32, from: Sym, to: Sym) {
-        let maps = &mut self.rels[rel.index()][col];
-        if let Some(list) = maps.get_mut(&from) {
-            if let Ok(pos) = list.binary_search(&row) {
-                list.remove(pos);
-            }
-            if list.is_empty() {
-                maps.remove(&from);
-            }
-        }
-        let list = maps.entry(to).or_default();
-        if let Err(pos) = list.binary_search(&row) {
-            list.insert(pos, row);
-        }
+        let map = &mut self.rels[rel.index()][col];
+        Self::drop_row(map, from, row);
+        Self::add(map, to, row);
     }
 
     /// The sorted row ids with `sym` in column `col` of `rel`. Columns
@@ -119,8 +185,7 @@ impl ColumnIndex {
         self.rels[rel.index()]
             .get(col)
             .and_then(|m| m.get(&sym))
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+            .map_or(&[], Posting::as_slice)
     }
 
     /// Length of [`ColumnIndex::posting`] without materializing it.
@@ -145,14 +210,14 @@ impl ColumnIndex {
     /// estimate for capacity planning (the many-session bench's
     /// shared-vs-duplicate catalog gate), not an allocator measurement.
     pub fn approx_bytes(&self) -> usize {
-        let entry = std::mem::size_of::<Sym>() + std::mem::size_of::<Vec<u32>>() + 8;
+        let entry = std::mem::size_of::<Sym>() + std::mem::size_of::<Posting>() + 8;
         let mut bytes = 0usize;
         for cols in &self.rels {
             for m in cols {
                 bytes += m.capacity() * entry;
                 bytes += m
                     .values()
-                    .map(|list| list.capacity() * std::mem::size_of::<u32>())
+                    .map(|p| p.capacity() * std::mem::size_of::<u32>())
                     .sum::<usize>();
             }
         }
@@ -192,23 +257,25 @@ impl ColumnIndex {
     /// Like [`ColumnIndex::candidates`], but stops at the first
     /// intersection row `accept` returns `true` for and returns it —
     /// the early-exit probe for existence checks (witness lookups, FD
-    /// applicability). Rows are visited in ascending id order, so the
-    /// returned row is the minimal accepted match.
+    /// applicability, whole-row lookups). Rows are visited in ascending
+    /// id order, so the returned row is the minimal accepted match.
+    ///
+    /// `bound` is walked once to pick the shortest posting list and once
+    /// per visited row, so callers pass a lazy iterator and the probe
+    /// allocates nothing. An empty `bound` matches nothing.
     pub fn first_candidate<'a>(
         &self,
         rel: RelId,
-        bound: &[(usize, Sym)],
+        bound: impl Iterator<Item = (usize, Sym)> + Clone,
         syms_of: impl Fn(u32) -> &'a [Sym],
         mut accept: impl FnMut(u32) -> bool,
     ) -> Option<u32> {
-        debug_assert!(!bound.is_empty());
-        let probe = (0..bound.len())
-            .min_by_key(|&i| self.posting_len(rel, bound[i].0, bound[i].1))
-            .expect("bound is nonempty");
-        let (c0, s0) = bound[probe];
+        let (c0, s0) = bound
+            .clone()
+            .min_by_key(|&(c, s)| self.posting_len(rel, c, s))?;
         'rows: for &row in self.posting(rel, c0, s0) {
             let syms = syms_of(row);
-            for &(c, s) in bound {
+            for (c, s) in bound.clone() {
                 if syms[c] != s {
                     continue 'rows;
                 }
@@ -366,6 +433,31 @@ mod tests {
         idx.remove_row(rel(0), 0, &[a, b]);
         assert_eq!(idx.posting(rel(0), 0, a), &[1]);
         assert!(idx.posting(rel(0), 1, b).is_empty());
+    }
+
+    #[test]
+    fn singleton_postings_spill_and_compare_by_rows() {
+        let (a, b) = (Sym(0), Sym(1));
+        let mut idx = ColumnIndex::new([1usize]);
+        idx.insert_row(rel(0), 5, &[a]);
+        assert_eq!(idx.posting(rel(0), 0, a), &[5]);
+        // A second row spills the inline singleton, keeping rows sorted.
+        idx.insert_row(rel(0), 2, &[a]);
+        idx.insert_row(rel(0), 2, &[a]);
+        assert_eq!(idx.posting(rel(0), 0, a), &[2, 5]);
+        // Moving a row out of a singleton drops the symbol's entry.
+        idx.replace_in_col(rel(0), 0, 5, a, b);
+        idx.replace_in_col(rel(0), 0, 2, a, b);
+        assert_eq!(idx.posting(rel(0), 0, b), &[2, 5]);
+        assert_eq!(idx.distinct_count(rel(0), 0), 1);
+        // A spilled list shrunk to one row equals an inline singleton.
+        idx.remove_row(rel(0), 5, &[b]);
+        let mut fresh = ColumnIndex::new([1usize]);
+        fresh.insert_row(rel(0), 2, &[b]);
+        assert_eq!(idx, fresh);
+        // Removing a row a singleton does not hold leaves it alone.
+        fresh.remove_row(rel(0), 9, &[b]);
+        assert_eq!(fresh.posting(rel(0), 0, b), &[2]);
     }
 
     #[test]
