@@ -14,7 +14,7 @@
 //! retained in [`naive`] as a differential-testing reference.
 
 use cqchase_index::{
-    compile, join_with, CancelToken, ColumnIndex, CompiledQuery, FactSource, FrozenSymPool,
+    compile_bound, join_with, CancelToken, ColumnIndex, CompiledQuery, FactSource, FrozenSymPool,
     JoinOutcome, JoinScratch, Sym, SymPool,
 };
 use cqchase_ir::{Catalog, ConjunctiveQuery, Constant, RelId, Term, VarId};
@@ -217,6 +217,17 @@ pub struct Homomorphism {
     pub max_level: u32,
 }
 
+/// Compiles `source` for summary-preserving probes, which start with
+/// its head variables bound ([`bind_summary`]).
+fn compile_probe(source: &ConjunctiveQuery, target: &impl FactSource) -> Option<CompiledQuery> {
+    let head: Vec<u32> = source
+        .head
+        .iter()
+        .filter_map(|t| Some(t.as_var()?.0))
+        .collect();
+    compile_bound(source, target, &head)
+}
+
 /// Pre-binds source head variables against a target summary row.
 /// Returns `None` on a direct conflict (constant mismatch or two summary
 /// positions forcing one variable to two symbols).
@@ -266,7 +277,7 @@ pub fn find_hom_with(
     target: &HomTarget,
     scratch: &mut JoinScratch,
 ) -> Option<Homomorphism> {
-    let cq = compile(source, target)?;
+    let cq = compile_probe(source, target)?;
     probe(source, target, &cq, scratch)
 }
 
@@ -310,8 +321,8 @@ fn probe(
 }
 
 /// A reusable homomorphism probe `source → target` over a **fixed**
-/// [`HomTarget`]: the source query is compiled once (cost-based order,
-/// acyclicity certificate and all) and the join scratch is reused, so
+/// [`HomTarget`]: the source query is compiled once (slots, cost-based
+/// order and all) and the join scratch is reused, so
 /// repeated probes pay only the search itself. This is the production
 /// shape of every hot containment loop — per-call [`find_hom`] spends a
 /// measurable fraction of short probes recompiling the plan.
@@ -334,7 +345,7 @@ impl<'q, 't> HomFinder<'q, 't> {
         HomFinder {
             source,
             target,
-            plan: compile(source, target),
+            plan: compile_probe(source, target),
             scratch: JoinScratch::new(),
         }
     }
@@ -436,7 +447,9 @@ impl<'q> ChaseHomFinder<'q> {
                 self.plan = None;
             }
         }
-        let plan = self.plan.get_or_insert_with(|| compile(self.source, &view));
+        let plan = self
+            .plan
+            .get_or_insert_with(|| compile_probe(self.source, &view));
         let cq = plan.as_ref()?;
         let mut found: Option<Homomorphism> = None;
         join_with(&view, cq, &pre, &mut self.scratch, |bind, rows| {

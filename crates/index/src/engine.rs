@@ -4,15 +4,18 @@
 //! of [`Slot`]s (interned constants and dense variable slots). At
 //! compile time the engine derives:
 //!
-//! * two **cost-based atom orders** (one for unbound searches, one for
-//!   head-prebound searches) from per-relation live-row counts and
-//!   per-column distinct-value counts — each greedy step picks the atom
-//!   with the lowest estimated candidate count given the variables the
-//!   already-ordered atoms bind;
-//! * an **acyclicity certificate**: a GYO ear reduction over the body's
-//!   hypergraph. Acyclic bodies get an [`AcyclicPlan`] executed as
-//!   Yannakakis semijoin reduction + backtrack-free enumeration (see
-//!   [`crate::acyclic`]); cyclic bodies keep the backtracking search;
+//! * a **cost-based atom order** for the search the plan serves — from
+//!   nothing bound (evaluation, [`compile`]) or from a given set of
+//!   pre-bound variables (the containment probes' head,
+//!   [`compile_bound`]) — derived from per-relation live-row counts and
+//!   per-column distinct-value counts: each greedy step picks the atom
+//!   with the lowest estimated candidate count given the variables
+//!   already bound;
+//! * for plans with nothing pre-bound, an **acyclicity certificate**: a
+//!   GYO ear reduction over the body's hypergraph. Acyclic bodies get
+//!   an [`AcyclicPlan`] executed as Yannakakis semijoin reduction +
+//!   backtrack-free enumeration (see [`crate::acyclic`]); cyclic bodies
+//!   keep the backtracking search;
 //! * a **statistics snapshot** of the relation sizes the orders were
 //!   derived from, so plan owners can detect cardinality drift
 //!   ([`CompiledQuery::stats_drifted`]) and recompile.
@@ -82,7 +85,7 @@ pub struct CompiledAtom {
 }
 
 /// A query compiled against one source's symbol space, carrying its
-/// cost-based orders, acyclicity certificate, and stats snapshot.
+/// cost-based order, acyclicity certificate, and stats snapshot.
 #[derive(Debug, Clone)]
 pub struct CompiledQuery {
     /// Atoms in the original query's order (the search follows a
@@ -94,20 +97,18 @@ pub struct CompiledQuery {
     /// The query's head variables (deduplicated, in head order) — the
     /// variables whose distinct bindings evaluation cares about.
     pub head_vars: Vec<u32>,
-    /// Cost-based atom order for searches starting with nothing bound.
+    /// Cost-based atom order for searches starting with the variables
+    /// the plan was compiled for already bound (none for [`compile`]).
     pub order: Vec<u32>,
-    /// Cost-based atom order assuming the head variables are pre-bound
-    /// (the containment probes' shape: `bind_summary` seeds exactly the
-    /// head variables).
-    pub order_prebound: Vec<u32>,
-    /// The Yannakakis join forest when the body is α-acyclic; `None`
-    /// keeps the backtracking engine.
+    /// The Yannakakis join forest when the body is α-acyclic and the
+    /// plan was compiled with nothing pre-bound; `None` keeps the
+    /// backtracking engine.
     pub acyclic: Option<AcyclicPlan>,
     /// Per-relation live-row counts observed at compile time (one entry
     /// per distinct body relation) — the drift detector's reference.
     pub stats: Vec<(RelId, usize)>,
     /// Estimated candidate count per atom (original atom index), as
-    /// computed when the unbound cost order picked it. The "estimated"
+    /// computed when the cost order picked it. The "estimated"
     /// side of est-vs-actual diagnostics ([`ExecStats::atom_actual`]).
     pub atom_est: Vec<f64>,
 }
@@ -231,11 +232,25 @@ fn cost_order<S: FactSource>(
     order
 }
 
-/// Compiles `q`'s body against `src`: slot resolution, cost-based
-/// ordering, GYO acyclicity test, and a stats snapshot. Returns `None`
-/// when some body constant does not occur in the source at all — no atom
-/// can then match, so the query is unsatisfiable over this source.
+/// Compiles `q`'s body against `src` for searches that start with
+/// nothing bound — evaluation's shape. [`compile_bound`] with no
+/// pre-bound variables.
 pub fn compile(q: &ConjunctiveQuery, src: &impl FactSource) -> Option<CompiledQuery> {
+    compile_bound(q, src, &[])
+}
+
+/// Compiles `q`'s body against `src` for searches that start with the
+/// `prebound` variables bound (a homomorphism probe seeds the head):
+/// slot resolution, one cost-based order from that start, a stats
+/// snapshot, and — only when nothing is pre-bound, the one case the
+/// Yannakakis path serves — a GYO acyclicity test. Returns `None` when
+/// some body constant does not occur in the source at all — no atom can
+/// then match, so the query is unsatisfiable over this source.
+pub fn compile_bound(
+    q: &ConjunctiveQuery,
+    src: &impl FactSource,
+    prebound: &[u32],
+) -> Option<CompiledQuery> {
     let mut atoms = Vec::with_capacity(q.atoms.len());
     for a in &q.atoms {
         let mut slots = Vec::with_capacity(a.terms.len());
@@ -259,17 +274,17 @@ pub fn compile(q: &ConjunctiveQuery, src: &impl FactSource) -> Option<CompiledQu
             }
         }
     }
-    let ordered = cost_order(&atoms, num_vars, src, &[]);
+    let ordered = cost_order(&atoms, num_vars, src, prebound);
     let mut atom_est = vec![0.0; atoms.len()];
     for &(pick, est) in &ordered {
         atom_est[pick as usize] = est;
     }
     let order: Vec<u32> = ordered.into_iter().map(|(a, _)| a).collect();
-    let order_prebound: Vec<u32> = cost_order(&atoms, num_vars, src, &head_vars)
-        .into_iter()
-        .map(|(a, _)| a)
-        .collect();
-    let acyclic = acyclic::build(&atoms, &head_vars);
+    let acyclic = if prebound.is_empty() {
+        acyclic::build(&atoms, &head_vars)
+    } else {
+        None
+    };
     let mut stats: Vec<(RelId, usize)> = Vec::new();
     for a in &atoms {
         if !stats.iter().any(|&(r, _)| r == a.rel) {
@@ -281,7 +296,6 @@ pub fn compile(q: &ConjunctiveQuery, src: &impl FactSource) -> Option<CompiledQu
         num_vars,
         head_vars,
         order,
-        order_prebound,
         acyclic,
         stats,
         atom_est,
@@ -623,21 +637,15 @@ pub fn join_with<S: FactSource>(
 ) -> JoinOutcome {
     assert_eq!(pre.len(), cq.num_vars, "pre-binding length mismatch");
     scratch.reset(cq, pre);
-    let prebound = pre.iter().any(Option::is_some);
-    if !prebound {
-        if let Some(plan) = &cq.acyclic {
+    if let Some(plan) = &cq.acyclic {
+        if pre.iter().all(Option::is_none) {
             return acyclic::run(src, cq, plan, scratch, false, &mut emit);
         }
     }
-    let order = if prebound {
-        &cq.order_prebound
-    } else {
-        &cq.order
-    };
     let mut search = Search {
         src,
         cq,
-        order,
+        order: &cq.order,
         scratch,
     };
     if search.solve(0, &mut emit) {

@@ -6,12 +6,15 @@
 //! a submitter that finds no batch in flight becomes the **leader**,
 //! drains everything queued, runs it as one batch, and answers every
 //! waiter (admission windows form naturally under load: requests
-//! arriving while a batch runs ride the next one). Leadership is
-//! bounded — after [`MAX_LEADER_ROUNDS`] rounds the leader hands back,
-//! and any still-unanswered waiter promotes itself within one poll
-//! tick, so no single client is starved and a crashed leader cannot
-//! wedge the queue. This shape gives three things a thread-per-request
-//! design cannot:
+//! arriving while a batch runs ride the next one). A leader leads one
+//! round — the one that answers its own item — and then **hands off**:
+//! if work queued meanwhile, the submitter of the oldest queued item is
+//! woken on its own result channel and leads the next batch on its own
+//! thread, so no client waits on other clients' rounds before its
+//! reply. Every queued item thus has a running leader or a promoted
+//! waiter, and waiters simply block; a leader that panics disconnects
+//! its waiters instead of wedging the queue ([`LeaderGuard`]). This
+//! shape gives three things a thread-per-request design cannot:
 //!
 //! * **chase sharing** — checks with the same left query in one batch
 //!   reuse one chase (the batch engines' contract);
@@ -32,7 +35,8 @@
 //! updates coalesce into one write-lock acquisition — see
 //! [`Work::Update`].
 
-use std::sync::mpsc::{channel, Sender};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -137,9 +141,33 @@ pub enum Outcome {
     },
 }
 
+/// What a waiter receives on its result channel: its answer or, while
+/// its item is still queued, the hand-off that makes it the leader. The
+/// hand-off never leaves this module.
+enum Signal {
+    Answer(Outcome),
+    Lead,
+}
+
+/// The leader's end of one waiter's result channel.
+struct Reply(Sender<Signal>);
+
+impl Reply {
+    /// Delivers the waiter's answer. A waiter that hung up (its
+    /// connection died) is not an error worth surfacing.
+    fn send(&self, outcome: Outcome) {
+        let _ = self.0.send(Signal::Answer(outcome));
+    }
+
+    /// Wakes the waiter as the next leader; `false` when it is gone.
+    fn promote(&self) -> bool {
+        self.0.send(Signal::Lead).is_ok()
+    }
+}
+
 struct Pending {
     work: Work,
-    tx: Sender<Outcome>,
+    tx: Reply,
     /// The submitting request's trace id (0 = untraced).
     trace_id: u64,
     /// Enqueue instant, for the always-on queue-wait metric.
@@ -157,41 +185,31 @@ struct Pending {
 #[derive(Default)]
 struct QueueState {
     pending: Vec<Pending>,
+    /// Some thread leads: one running a batch, or a waiter the previous
+    /// leader promoted, which takes the next batch once it wakes.
     leader_running: bool,
 }
 
 impl QueueState {
-    /// A submitter's bid for leadership: taken when work is pending and
-    /// no leader is running.
+    /// A submitter's bid for leadership, made in the critical section
+    /// that queued its work: taken when work is pending and no leader is
+    /// running.
     fn try_lead(&mut self) -> bool {
         let lead = !self.leader_running && !self.pending.is_empty();
         self.leader_running |= lead;
         lead
     }
 
-    /// The running leader's next batch. On an empty queue it releases
-    /// leadership in the same critical section that saw the queue
-    /// empty, so work enqueued after the leader quits always finds
-    /// `leader_running == false` and its submitter leads.
-    fn take_batch(&mut self) -> Option<Vec<Pending>> {
-        if self.pending.is_empty() {
-            self.leader_running = false;
-            None
-        } else {
-            Some(std::mem::take(&mut self.pending))
-        }
+    /// Ends a leader's turn after the round that answered its own item.
+    /// Leadership passes to the submitter of the oldest queued item that
+    /// is still waiting; on an empty queue it is released in the same
+    /// critical section that saw the queue empty, so work enqueued
+    /// afterwards always finds `leader_running == false` and its
+    /// submitter leads.
+    fn hand_off(&mut self) {
+        self.leader_running = self.pending.iter().any(|p| p.tx.promote());
     }
 }
-
-/// How long a waiter sleeps before re-checking whether it should
-/// promote itself to leader (the normal wake-up is its result arriving,
-/// which is immediate).
-const LEADER_POLL: std::time::Duration = std::time::Duration::from_millis(50);
-
-/// Drain rounds one leader runs before handing leadership back, so a
-/// leader's own client is not starved by other clients refilling the
-/// queue indefinitely.
-const MAX_LEADER_ROUNDS: usize = 8;
 
 /// Unwinding safety for the leader: if `run_batch` panics (an engine
 /// invariant violated), the armed guard releases leadership and drops
@@ -218,15 +236,13 @@ impl Drop for LeaderGuard<'_> {
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
             state.leader_running = false;
+            self.metrics
+                .lane(self.lane)
+                .queue_depth
+                .store(0, Ordering::Relaxed);
             std::mem::take(&mut state.pending)
         };
-        // The orphans leave the queue without a leader pickup: keep the
-        // lane's depth gauge honest before dropping their senders
-        // (which disconnects the waiters' channels).
-        self.metrics
-            .lane(self.lane)
-            .queue_depth
-            .fetch_sub(orphans.len() as u64, std::sync::atomic::Ordering::Relaxed);
+        // Dropping the orphans' senders disconnects their waiters.
         drop(orphans);
     }
 }
@@ -365,16 +381,13 @@ impl Batcher {
     /// Submits one unit of work and blocks until its outcome is ready.
     ///
     /// Checks are first tried against the session's semantic cache; a
-    /// hit returns immediately. Otherwise the work is enqueued and the
-    /// calling thread alternates between waiting for a leader to answer
-    /// it and — whenever no leader is running — taking leadership
-    /// itself. Leadership is bounded to [`MAX_LEADER_ROUNDS`] drain
-    /// rounds, then handed back (a waiter promotes itself within one
-    /// poll tick), so one leader's client is never starved by a
-    /// sustained stream of other clients' requests. Returns `Err` only
-    /// if a leader panicked while holding this item (the engine's
-    /// invariants were violated); the queue itself recovers — see
-    /// [`LeaderGuard`].
+    /// hit returns immediately. Otherwise the work is enqueued, and the
+    /// calling thread either leads (no leader was running) or waits
+    /// until a leader answers it or hands leadership to it. A leader
+    /// runs one batch and then hands off, so its client is never held
+    /// back by other clients' requests. Returns `Err` only if a leader
+    /// panicked while holding this item (the engine's invariants were
+    /// violated); the queue itself recovers — see [`LeaderGuard`].
     pub fn submit(&self, work: Work) -> Result<Outcome, String> {
         self.submit_cancellable(work, 0, CancelToken::unlimited())
     }
@@ -390,7 +403,6 @@ impl Batcher {
     /// answered with, counting it on the resilience metrics (disconnect
     /// vs deadline attribution comes from the token itself).
     fn cancelled_outcome(&self, cancel: &CancelToken, detail: &str) -> Outcome {
-        use std::sync::atomic::Ordering;
         let disconnect = cancel.is_cancelled();
         if disconnect {
             self.metrics
@@ -440,37 +452,46 @@ impl Batcher {
         }
         let (tx, rx) = channel();
         let enqueued_us = if tracing { self.tracer.now_us() } else { 0 };
-        {
-            let mut state = self.state.lock().expect("queue lock");
-            state.pending.push(Pending {
-                work,
-                tx,
-                trace_id,
-                enqueued: Instant::now(),
-                enqueued_us,
-                cancel,
-            });
-        }
-        self.metrics
-            .lane(self.lane)
-            .queue_depth
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        self.await_outcome(&rx)
+        let lead = self.enqueue([Pending {
+            work,
+            tx: Reply(tx),
+            trace_id,
+            enqueued: Instant::now(),
+            enqueued_us,
+            cancel,
+        }]);
+        self.await_outcome(&rx, lead)
     }
 
-    /// Blocks until `rx` delivers, alternating with leadership: whenever
-    /// no leader is running and work is pending, the caller takes
-    /// leadership and drains. The wait half of `submit`/`submit_many`.
-    fn await_outcome(&self, rx: &std::sync::mpsc::Receiver<Outcome>) -> Result<Outcome, String> {
+    /// The lane's queue-depth gauge (shedding and `stats` read it).
+    fn depth_gauge(&self) -> &AtomicU64 {
+        &self.metrics.lane(self.lane).queue_depth
+    }
+
+    /// Queues `items` and bids for leadership. The push, the depth gauge
+    /// and the bid share one critical section, so the gauge always
+    /// equals the queue's length and never counts an item a leader has
+    /// already picked up. Returns whether the caller must lead.
+    fn enqueue(&self, items: impl IntoIterator<Item = Pending>) -> bool {
+        let mut state = self.state.lock().expect("queue lock");
+        state.pending.extend(items);
+        self.depth_gauge()
+            .store(state.pending.len() as u64, Ordering::Relaxed);
+        state.try_lead()
+    }
+
+    /// Blocks until `rx` delivers the answer, leading one batch first
+    /// when `lead` is set and again whenever a leader hands off to this
+    /// waiter. The wait half of `submit`/`submit_many`.
+    fn await_outcome(&self, rx: &Receiver<Signal>, mut lead: bool) -> Result<Outcome, String> {
         loop {
-            let lead = self.state.lock().expect("queue lock").try_lead();
             if lead {
-                self.drain();
+                self.lead();
             }
-            match rx.recv_timeout(LEADER_POLL) {
-                Ok(outcome) => return Ok(outcome),
-                Err(std::sync::mpsc::RecvTimeoutError::Timeout) => continue,
-                Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+            match rx.recv() {
+                Ok(Signal::Answer(outcome)) => return Ok(outcome),
+                Ok(Signal::Lead) => lead = true,
+                Err(_) => {
                     return Err(
                         "internal error: the batch leader failed while holding this \
                          request; please retry"
@@ -539,137 +560,109 @@ impl Batcher {
     ) -> Vec<Result<Outcome, String>> {
         enum Slot {
             Ready(Outcome),
-            Wait(std::sync::mpsc::Receiver<Outcome>),
+            Wait(Receiver<Signal>),
         }
         // Cache probes run BEFORE the queue lock (they take per-session
         // mutexes and do isomorphism lookups — too slow for the global
         // critical section, which must stay at plain Vec pushes).
-        type Unanswered = (
-            Work,
-            CancelToken,
-            Sender<Outcome>,
-            std::sync::mpsc::Receiver<Outcome>,
-        );
-        let probed: Vec<Result<Outcome, Unanswered>> = works
-            .into_iter()
-            .map(|(work, cancel)| {
-                if cancel.should_stop() {
-                    return Ok(self.cancelled_outcome(&cancel, "refused at admission"));
-                }
-                match Batcher::try_cache_hit(&work) {
-                    Some(outcome) => Ok(outcome),
-                    None => {
-                        let (tx, rx) = channel();
-                        Err((work, cancel, tx, rx))
-                    }
-                }
-            })
-            .collect();
-        let mut slots = Vec::with_capacity(probed.len());
-        let mut enqueued = 0u64;
-        {
-            let mut state = self.state.lock().expect("queue lock");
-            for p in probed {
-                match p {
-                    Ok(outcome) => slots.push(Slot::Ready(outcome)),
-                    Err((work, cancel, tx, rx)) => {
-                        state.pending.push(Pending {
-                            work,
-                            tx,
-                            trace_id: 0,
-                            enqueued: Instant::now(),
-                            enqueued_us: 0,
-                            cancel,
-                        });
-                        slots.push(Slot::Wait(rx));
-                        enqueued += 1;
-                    }
-                }
+        let mut slots = Vec::with_capacity(works.len());
+        let mut queued = Vec::new();
+        for (work, cancel) in works {
+            if cancel.should_stop() {
+                slots.push(Slot::Ready(
+                    self.cancelled_outcome(&cancel, "refused at admission"),
+                ));
+            } else if let Some(outcome) = Batcher::try_cache_hit(&work) {
+                slots.push(Slot::Ready(outcome));
+            } else {
+                let (tx, rx) = channel();
+                queued.push(Pending {
+                    work,
+                    tx: Reply(tx),
+                    trace_id: 0,
+                    enqueued: Instant::now(),
+                    enqueued_us: 0,
+                    cancel,
+                });
+                slots.push(Slot::Wait(rx));
             }
         }
-        self.metrics
-            .lane(self.lane)
-            .queue_depth
-            .fetch_add(enqueued, std::sync::atomic::Ordering::Relaxed);
+        // Only the first wait can lead from the bid: a leader's batch
+        // holds every item of the script, so it answers them all.
+        let mut lead = self.enqueue(queued);
         slots
             .into_iter()
             .map(|slot| match slot {
                 Slot::Ready(outcome) => Ok(outcome),
-                Slot::Wait(rx) => self.await_outcome(&rx),
+                Slot::Wait(rx) => self.await_outcome(&rx, std::mem::take(&mut lead)),
             })
             .collect()
     }
 
-    /// Leads until the queue is empty, for at most
-    /// [`MAX_LEADER_ROUNDS`] drain rounds, then releases leadership
-    /// (work left after the last round is picked up by a waiting
-    /// submitter's next poll tick or the next fresh submit).
-    fn drain(&self) {
+    /// Leads one round: takes everything queued (the leader's own item
+    /// included), runs it as one batch, then hands off to the oldest
+    /// still-queued submitter or releases leadership on an empty queue.
+    fn lead(&self) {
         let mut guard = LeaderGuard {
             state: &self.state,
             metrics: &self.metrics,
             lane: self.lane,
             armed: true,
         };
-        for _ in 0..MAX_LEADER_ROUNDS {
-            let Some(batch) = self.state.lock().expect("queue lock").take_batch() else {
-                guard.armed = false;
-                return;
-            };
-            // Queue-wait accounting happens at leader pickup: the
-            // always-on metric uses the wall clock carried by each item;
-            // traced items additionally get an admission-wait span and,
-            // after the batch runs, a batch-drain span.
-            let pickup_us = if self.tracer.is_enabled() {
-                self.tracer.now_us()
-            } else {
-                0
-            };
+        let batch = {
+            let mut state = self.state.lock().expect("queue lock");
+            self.depth_gauge().store(0, Ordering::Relaxed);
+            std::mem::take(&mut state.pending)
+        };
+        // Queue-wait accounting happens at leader pickup: the
+        // always-on metric uses the wall clock carried by each item;
+        // traced items additionally get an admission-wait span and,
+        // after the batch runs, a batch-drain span.
+        let pickup_us = if self.tracer.is_enabled() {
+            self.tracer.now_us()
+        } else {
+            0
+        };
+        let mut traced: Vec<u64> = Vec::new();
+        for p in &batch {
             self.metrics
-                .lane(self.lane)
-                .queue_depth
-                .fetch_sub(batch.len() as u64, std::sync::atomic::Ordering::Relaxed);
-            let mut traced: Vec<u64> = Vec::new();
-            for p in &batch {
-                self.metrics
-                    .record_lane_queue_wait(self.lane, p.enqueued.elapsed());
-                if p.trace_id != 0 && p.enqueued_us != 0 {
-                    self.tracer.record(
-                        p.trace_id,
-                        SpanKind::AdmissionWait,
-                        p.enqueued_us,
-                        pickup_us,
-                    );
-                    traced.push(p.trace_id);
-                }
-            }
-            // Work whose token fired while it queued (deadline expired,
-            // or its client disconnected) is refused here — never
-            // executed. Queue wait counts against the deadline by
-            // construction: the token was armed before admission.
-            let batch: Vec<Pending> = batch
-                .into_iter()
-                .filter_map(|p| {
-                    if p.cancel.should_stop() {
-                        let outcome =
-                            self.cancelled_outcome(&p.cancel, "expired in the admission queue");
-                        let _ = p.tx.send(outcome);
-                        None
-                    } else {
-                        Some(p)
-                    }
-                })
-                .collect();
-            self.run_batch(batch);
-            if !traced.is_empty() {
-                let end_us = self.tracer.now_us();
-                for id in traced {
-                    self.tracer
-                        .record(id, SpanKind::BatchDrain, pickup_us, end_us);
-                }
+                .record_lane_queue_wait(self.lane, p.enqueued.elapsed());
+            if p.trace_id != 0 && p.enqueued_us != 0 {
+                self.tracer.record(
+                    p.trace_id,
+                    SpanKind::AdmissionWait,
+                    p.enqueued_us,
+                    pickup_us,
+                );
+                traced.push(p.trace_id);
             }
         }
-        self.state.lock().expect("queue lock").leader_running = false;
+        // Work whose token fired while it queued (deadline expired,
+        // or its client disconnected) is refused here — never
+        // executed. Queue wait counts against the deadline by
+        // construction: the token was armed before admission.
+        let batch: Vec<Pending> = batch
+            .into_iter()
+            .filter_map(|p| {
+                if p.cancel.should_stop() {
+                    let outcome =
+                        self.cancelled_outcome(&p.cancel, "expired in the admission queue");
+                    p.tx.send(outcome);
+                    None
+                } else {
+                    Some(p)
+                }
+            })
+            .collect();
+        self.run_batch(batch);
+        if !traced.is_empty() {
+            let end_us = self.tracer.now_us();
+            for id in traced {
+                self.tracer
+                    .record(id, SpanKind::BatchDrain, pickup_us, end_us);
+            }
+        }
+        self.state.lock().expect("queue lock").hand_off();
         guard.armed = false;
     }
 
@@ -688,7 +681,6 @@ impl Batcher {
     /// order as maximal update-free segments; every update flushes the
     /// whole segment before it and applies alone.
     fn run_batch(&self, batch: Vec<Pending>) {
-        use std::sync::atomic::Ordering;
         let shard = self.metrics.lane(self.lane);
         self.metrics.batches.fetch_add(1, Ordering::Relaxed);
         shard.batches.fetch_add(1, Ordering::Relaxed);
@@ -720,14 +712,14 @@ impl Batcher {
                                 &p.cancel,
                                 "update refused before its commit point",
                             );
-                            let _ = p.tx.send(outcome);
+                            p.tx.send(outcome);
                             continue;
                         }
                         let result = self
                             .apply_deltas(&session, &[(insert, delete)], &[trace_id])
                             .pop()
                             .expect("one delta in, one summary out");
-                        let _ = p.tx.send(Outcome::Update(result));
+                        p.tx.send(Outcome::Update(result));
                     } else {
                         segment.push(p);
                     }
@@ -758,17 +750,16 @@ impl Batcher {
     /// segments alternate with **runs of adjacent updates**; each run
     /// applies through one [`Session::apply_updates`] call.
     fn run_lane(&self, session: &Arc<Session>, lane: Vec<Pending>) {
-        use std::sync::atomic::Ordering;
         let shard = self.metrics.lane(self.lane);
         let mut segment: Vec<Pending> = Vec::new();
         let mut updates: Vec<(Vec<crate::proto::FactSpec>, Vec<crate::proto::FactSpec>)> =
             Vec::new();
-        let mut update_txs: Vec<Sender<Outcome>> = Vec::new();
+        let mut update_txs: Vec<Reply> = Vec::new();
         let mut update_ids: Vec<u64> = Vec::new();
         let mut update_cancels: Vec<CancelToken> = Vec::new();
         type Deltas = Vec<(Vec<crate::proto::FactSpec>, Vec<crate::proto::FactSpec>)>;
         let flush_updates = |updates: &mut Deltas,
-                             update_txs: &mut Vec<Sender<Outcome>>,
+                             update_txs: &mut Vec<Reply>,
                              update_ids: &mut Vec<u64>,
                              update_cancels: &mut Vec<CancelToken>| {
             if updates.is_empty() {
@@ -781,7 +772,7 @@ impl Batcher {
             // point the run is committed — cancellation never bisects
             // an update.
             let mut deltas: Deltas = Vec::with_capacity(updates.len());
-            let mut txs: Vec<Sender<Outcome>> = Vec::with_capacity(update_txs.len());
+            let mut txs: Vec<Reply> = Vec::with_capacity(update_txs.len());
             let mut ids: Vec<u64> = Vec::with_capacity(update_ids.len());
             for ((delta, tx), (id, cancel)) in updates
                 .drain(..)
@@ -791,7 +782,7 @@ impl Batcher {
                 if cancel.should_stop() {
                     let outcome =
                         self.cancelled_outcome(&cancel, "update refused before its commit point");
-                    let _ = tx.send(outcome);
+                    tx.send(outcome);
                 } else {
                     deltas.push(delta);
                     txs.push(tx);
@@ -811,7 +802,7 @@ impl Batcher {
             }
             let results = self.apply_deltas(session, &deltas, &ids);
             for (result, tx) in results.into_iter().zip(txs) {
-                let _ = tx.send(Outcome::Update(result));
+                tx.send(Outcome::Update(result));
             }
         };
         for p in lane {
@@ -856,8 +847,8 @@ impl Batcher {
         // Group by (session identity, kind), preserving arrival order.
         struct Group {
             session: Arc<Session>,
-            checks: Vec<(usize, usize, Sender<Outcome>, CancelToken)>,
-            evals: Vec<(usize, u64, Sender<Outcome>, CancelToken)>,
+            checks: Vec<(usize, usize, Reply, CancelToken)>,
+            evals: Vec<(usize, u64, Reply, CancelToken)>,
         }
         let mut groups: Vec<Group> = Vec::new();
         for p in batch {
@@ -892,12 +883,7 @@ impl Batcher {
         }
     }
 
-    fn run_checks(
-        &self,
-        session: &Session,
-        checks: Vec<(usize, usize, Sender<Outcome>, CancelToken)>,
-    ) {
-        use std::sync::atomic::Ordering;
+    fn run_checks(&self, session: &Session, checks: Vec<(usize, usize, Reply, CancelToken)>) {
         if checks.is_empty() {
             return;
         }
@@ -908,7 +894,7 @@ impl Batcher {
         // but the shared chase stays live for every other pair).
         let mut unique: Vec<ContainmentPair> = Vec::new();
         let mut tokens: Vec<CancelToken> = Vec::new();
-        let mut waiters: FxHashMap<(usize, usize), Vec<Sender<Outcome>>> = FxHashMap::default();
+        let mut waiters: FxHashMap<(usize, usize), Vec<Reply>> = FxHashMap::default();
         for (q, q_prime, tx, cancel) in checks {
             let entry = waiters.entry((q, q_prime)).or_default();
             if entry.is_empty() {
@@ -945,7 +931,7 @@ impl Batcher {
                 // is told, with the partial-progress detail.
                 let detail = e.to_string();
                 for tx in txs {
-                    let _ = tx.send(self.cancelled_outcome(cancel, &detail));
+                    tx.send(self.cancelled_outcome(cancel, &detail));
                 }
                 continue;
             }
@@ -970,9 +956,7 @@ impl Batcher {
                 Err(e) => Err(e.to_string()),
             };
             for (i, tx) in txs.into_iter().enumerate() {
-                // A waiter that hung up (connection died) is not an
-                // error worth surfacing.
-                let _ = tx.send(Outcome::Check {
+                tx.send(Outcome::Check {
                     summary: summary.clone(),
                     cached: false,
                     coalesced: i > 0,
@@ -981,14 +965,13 @@ impl Batcher {
         }
     }
 
-    fn run_evals(&self, session: &Session, evals: Vec<(usize, u64, Sender<Outcome>, CancelToken)>) {
-        use std::sync::atomic::Ordering;
+    fn run_evals(&self, session: &Session, evals: Vec<(usize, u64, Reply, CancelToken)>) {
         if evals.is_empty() {
             return;
         }
         // As in `run_checks`: the computation runs under the first
         // waiter's token, coalesced riders share its fate.
-        let mut waiters: FxHashMap<usize, Vec<(u64, Sender<Outcome>)>> = FxHashMap::default();
+        let mut waiters: FxHashMap<usize, Vec<(u64, Reply)>> = FxHashMap::default();
         let mut unique: Vec<(usize, CancelToken)> = Vec::new();
         for (q, trace_id, tx, cancel) in evals {
             let entry = waiters.entry(q).or_default();
@@ -1016,7 +999,7 @@ impl Batcher {
                 // Cancelled mid-join: the partial rows were discarded
                 // inside the session, nothing was cached.
                 for (_, tx) in txs {
-                    let _ = tx.send(self.cancelled_outcome(&cancel, "eval cancelled mid-join"));
+                    tx.send(self.cancelled_outcome(&cancel, "eval cancelled mid-join"));
                 }
                 continue;
             };
@@ -1027,7 +1010,7 @@ impl Batcher {
                 }
             }
             for (i, (_, tx)) in txs.into_iter().enumerate() {
-                let _ = tx.send(Outcome::Eval {
+                tx.send(Outcome::Eval {
                     rows: rows.clone(),
                     cached,
                     coalesced: i > 0,
@@ -1231,7 +1214,6 @@ mod tests {
     #[test]
     fn per_session_barrier_never_splits_other_sessions() {
         use cqchase_ir::Constant;
-        use std::sync::atomic::Ordering;
         let a = test_session();
         let b = test_session();
         let upd = |s: &Arc<Session>, k: i64| Work::Update {
@@ -1329,7 +1311,6 @@ mod tests {
 
     #[test]
     fn submit_many_drains_one_batch_in_order() {
-        use std::sync::atomic::Ordering;
         let s = test_session();
         let metrics = Arc::new(Metrics::new());
         let batcher = Batcher::new(1, Arc::clone(&metrics));
@@ -1394,7 +1375,6 @@ mod tests {
             // A ⊆ B and B ⊆ A both hold under the cyclic IND.
             assert!(sum.contained, "outcome {i}");
         }
-        use std::sync::atomic::Ordering;
         let computed = 8
             - metrics.coalesced_items.load(Ordering::Relaxed)
             - s.sem_cache.lock().unwrap().stats().hits;
@@ -1407,7 +1387,6 @@ mod tests {
     #[test]
     fn fired_tokens_refuse_work_without_running_it() {
         use cqchase_ir::Constant;
-        use std::sync::atomic::Ordering;
         let s = test_session();
         let metrics = Arc::new(Metrics::new());
         let batcher = Batcher::new(1, Arc::clone(&metrics));
@@ -1499,40 +1478,197 @@ mod tests {
         assert!(matches!(out, Outcome::Check { summary: Ok(_), .. }));
     }
 
+    /// A queued eval on `s` and the receiving end of its result channel.
+    fn queued(s: &Arc<Session>) -> (Pending, Receiver<Signal>) {
+        let (tx, rx) = channel();
+        let p = Pending {
+            work: Work::Eval {
+                session: Arc::clone(s),
+                q: 0,
+            },
+            tx: Reply(tx),
+            trace_id: 0,
+            enqueued: Instant::now(),
+            enqueued_us: 0,
+            cancel: CancelToken::unlimited(),
+        };
+        (p, rx)
+    }
+
     #[test]
     fn leader_releases_leadership_where_it_sees_the_queue_empty() {
         let s = test_session();
-        let pending = || {
-            let (tx, _rx) = channel();
-            Pending {
-                work: Work::Eval {
-                    session: Arc::clone(&s),
-                    q: 0,
-                },
-                tx,
-                trace_id: 0,
-                enqueued: Instant::now(),
-                enqueued_us: 0,
-                cancel: CancelToken::unlimited(),
-            }
-        };
         let mut state = QueueState::default();
-        state.pending.push(pending());
+        let (own, _own_rx) = queued(&s);
+        state.pending.push(own);
         assert!(state.try_lead(), "first submitter leads an idle queue");
         assert!(!state.try_lead(), "one leader at a time");
-        assert_eq!(state.take_batch().map(|b| b.len()), Some(1));
+        assert_eq!(std::mem::take(&mut state.pending).len(), 1);
         assert!(state.leader_running, "a leader with work keeps leading");
-        // The leader finds the queue empty. The next submitter, arriving
-        // right after, must find no leader running and lead its own
-        // work; a leader that quit in a later critical section would
-        // leave it waiting for a poll tick.
-        assert!(state.take_batch().is_none());
+        // The leader's round ends on an empty queue. The next submitter,
+        // arriving right after, must find no leader running and lead its
+        // own work; a leader that quit in a later critical section would
+        // leave it waiting for a wake-up that never comes.
+        state.hand_off();
         assert!(!state.leader_running);
-        state.pending.push(pending());
+        let (next, _next_rx) = queued(&s);
+        state.pending.push(next);
         assert!(
             state.try_lead(),
             "work enqueued after the leader quit is led"
         );
+    }
+
+    #[test]
+    fn leader_hands_off_to_the_oldest_queued_submitter() {
+        let s = test_session();
+        let mut state = QueueState::default();
+        let (own, _own_rx) = queued(&s);
+        state.pending.push(own);
+        assert!(state.try_lead());
+        let _batch = std::mem::take(&mut state.pending);
+        // Two submitters queue while the leader's round runs; the first
+        // of them has since gone away.
+        let (gone, gone_rx) = queued(&s);
+        let (second, second_rx) = queued(&s);
+        let (third, third_rx) = queued(&s);
+        drop(gone_rx);
+        state.pending.extend([gone, second, third]);
+        state.hand_off();
+        // Leadership passed, not released: a fresh submitter may not
+        // lead beside the promoted one, and the queue is left intact
+        // for the promoted leader's batch.
+        assert!(state.leader_running);
+        assert!(!state.try_lead(), "one leader at a time");
+        assert_eq!(state.pending.len(), 3);
+        assert!(matches!(second_rx.try_recv(), Ok(Signal::Lead)));
+        assert!(third_rx.try_recv().is_err(), "only one waiter is promoted");
+        // With no waiter left to take over, leadership is released.
+        drop((second_rx, third_rx));
+        state.hand_off();
+        assert!(!state.leader_running);
+    }
+
+    #[test]
+    fn leader_answers_then_hands_off_to_a_queued_submitter() {
+        use std::sync::mpsc::RecvTimeoutError;
+        use std::time::Duration;
+        const WAIT: Duration = Duration::from_secs(20);
+        let (s1, s2) = (test_session(), test_session());
+        let batcher = Arc::new(Batcher::new(1, Arc::new(Metrics::new())));
+        let state = |f: fn(&QueueState) -> bool| f(&batcher.state.lock().unwrap());
+        let wait_until = |what: &str, f: fn(&QueueState) -> bool| {
+            let start = Instant::now();
+            while !state(f) {
+                assert!(start.elapsed() < WAIT, "timed out waiting until {what}");
+                std::thread::yield_now();
+            }
+        };
+        let (done_tx, done) = channel();
+        let submitter = |s: &Arc<Session>, who: &'static str| {
+            let (batcher, s, done_tx) = (Arc::clone(&batcher), Arc::clone(s), done_tx.clone());
+            std::thread::spawn(move || {
+                let out = batcher.submit(Work::Eval { session: s, q: 0 });
+                done_tx.send((who, out)).unwrap();
+            })
+        };
+        // A leads, and its round blocks on s1's facts lock.
+        let hold_s1 = s1.facts.write().unwrap();
+        let a = submitter(&s1, "A");
+        wait_until("A took its batch", |q| {
+            q.leader_running && q.pending.is_empty()
+        });
+        // B queues behind A's round; its own batch will block on s2.
+        let hold_s2 = s2.facts.write().unwrap();
+        let b = submitter(&s2, "B");
+        wait_until("B queued", |q| q.pending.len() == 1);
+        drop(hold_s1);
+        // A answers while B's work is unanswered: A did not run B's
+        // batch itself, it handed leadership to B.
+        let (who, out) = done.recv_timeout(WAIT).expect("A answered");
+        assert_eq!(who, "A");
+        assert!(matches!(out, Ok(Outcome::Eval { .. })), "{out:?}");
+        assert_eq!(
+            done.recv_timeout(Duration::from_millis(50)).map(|(w, _)| w),
+            Err(RecvTimeoutError::Timeout),
+            "B cannot be answered while s2 is locked"
+        );
+        wait_until("B took its batch", |q| {
+            q.leader_running && q.pending.is_empty()
+        });
+        drop(hold_s2);
+        let (who, out) = done.recv_timeout(WAIT).expect("B, promoted, answered");
+        assert_eq!(who, "B");
+        assert!(matches!(out, Ok(Outcome::Eval { .. })), "{out:?}");
+        wait_until("leadership released", |q| !q.leader_running);
+        a.join().unwrap();
+        b.join().unwrap();
+    }
+
+    #[test]
+    fn queue_depth_gauge_never_exceeds_items_in_flight() {
+        use std::sync::atomic::AtomicBool;
+        const THREADS: u64 = 4;
+        let s = test_session();
+        let metrics = Arc::new(Metrics::new());
+        let batcher = Arc::new(Batcher::new(1, Arc::clone(&metrics)));
+        let stop = Arc::new(AtomicBool::new(false));
+        let sampler = {
+            let (batcher, stop) = (Arc::clone(&batcher), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                let mut max = 0;
+                while !stop.load(Ordering::Relaxed) {
+                    // Read under the queue lock, the gauge must equal the
+                    // queue's length. A gauge updated outside the lock lags
+                    // pushes and pickups, and wraps below zero when a leader
+                    // subtracts an item before its submitter added it.
+                    let (depth, len) = {
+                        let state = batcher.state.lock().unwrap();
+                        (
+                            batcher.depth_gauge().load(Ordering::Relaxed),
+                            state.pending.len() as u64,
+                        )
+                    };
+                    if depth != len {
+                        return Err((depth, len));
+                    }
+                    max = max.max(depth);
+                }
+                Ok(max)
+            })
+        };
+        let submitters: Vec<_> = (0..THREADS)
+            .map(|i| {
+                let (batcher, s) = (Arc::clone(&batcher), Arc::clone(&s));
+                std::thread::spawn(move || {
+                    for k in 0..2000 {
+                        // Evals never hit the semantic cache, so every
+                        // one goes through the queue.
+                        let q = ((i + k) % 4) as usize;
+                        batcher
+                            .submit(Work::Eval {
+                                session: Arc::clone(&s),
+                                q,
+                            })
+                            .unwrap();
+                    }
+                })
+            })
+            .collect();
+        for t in submitters {
+            t.join().unwrap();
+        }
+        stop.store(true, Ordering::Relaxed);
+        // Each submitter has at most one item in flight.
+        let max = sampler
+            .join()
+            .unwrap()
+            .unwrap_or_else(|(depth, len)| panic!("queue_depth read {depth} over {len} queued"));
+        assert!(
+            max <= THREADS,
+            "queue_depth read {max} with {THREADS} submitters"
+        );
+        assert_eq!(metrics.lane(0).queue_depth.load(Ordering::Relaxed), 0);
     }
 
     #[test]

@@ -16,10 +16,16 @@
 //!
 //! The cache is bounded: beyond `capacity` entries the
 //! least-recently-used one is evicted first (a long-running server
-//! must not grow without limit). Hit/miss/eviction counts are kept for
-//! the `stats` endpoint, and a capacity of 0 disables caching
-//! entirely — the differential property tests run cache-on vs
-//! cache-off and require bit-identical answers.
+//! must not grow without limit). A recency index ordered by use tick
+//! sits beside the buckets, so an insert and an eviction cost O(log n),
+//! not a scan of every entry under the mutex every lookup on the
+//! session needs. A hit only restamps its entry; the index catches up
+//! when that entry's stale tick reaches the front. Hit/miss/eviction
+//! counts are kept for the `stats` endpoint, and a capacity of 0
+//! disables caching entirely — the differential property tests run
+//! cache-on vs cache-off and require bit-identical answers.
+
+use std::collections::BTreeMap;
 
 use cqchase_core::{is_isomorphic, iso_key};
 use cqchase_index::FxHashMap;
@@ -38,6 +44,10 @@ struct Entry {
     q_prime: ConjunctiveQuery,
     answer: CheckSummary,
     last_used: u64,
+    /// The tick this entry is filed under in the recency index: its
+    /// `last_used` as of insertion or of its latest re-filing, so never
+    /// later than `last_used`.
+    filed: u64,
 }
 
 /// Counters exposed through the `stats` endpoint.
@@ -60,6 +70,11 @@ pub struct CacheStats {
 #[derive(Debug)]
 pub struct SemanticCache {
     entries: FxHashMap<Key, Vec<Entry>>,
+    /// `filed → bucket`, one-to-one with the live entries (ticks are
+    /// unique: each touches at most one entry). Every entry's `filed`
+    /// is at most its `last_used`, so a front entry whose two ticks
+    /// agree is the least-recently-used one.
+    recency: BTreeMap<u64, Key>,
     capacity: usize,
     len: usize,
     tick: u64,
@@ -96,6 +111,7 @@ impl SemanticCache {
     pub fn new(capacity: usize) -> SemanticCache {
         SemanticCache {
             entries: FxHashMap::default(),
+            recency: BTreeMap::new(),
             capacity,
             len: 0,
             tick: 0,
@@ -172,36 +188,41 @@ impl SemanticCache {
             q_prime: q_prime.clone(),
             answer,
             last_used: tick,
+            filed: tick,
         });
+        self.recency.insert(tick, key);
         self.len += 1;
         if self.len > self.capacity {
-            self.evict_lru(key);
+            self.evict_lru();
         }
     }
 
-    /// Evicts the least-recently-used entry. The entry touched at the
-    /// current tick is never the minimum, so the just-inserted answer
-    /// always survives.
-    fn evict_lru(&mut self, keep: Key) {
-        let victim = self
-            .entries
-            .iter()
-            .flat_map(|(k, bucket)| bucket.iter().map(|e| (e.last_used, *k)))
-            .min_by_key(|&(tick, _)| tick);
-        let Some((victim_tick, key)) = victim else {
+    /// Evicts the least-recently-used entry, re-filing at their last use
+    /// the entries found at the front with a stale tick (each hit costs
+    /// at most one re-filing). The entry inserted at this tick is the
+    /// newest, so with `len ≥ 2` it is never the victim.
+    fn evict_lru(&mut self) {
+        loop {
+            let (filed, key) = self.recency.pop_first().expect("len > capacity ≥ 1");
+            let bucket = self.entries.get_mut(&key).expect("filed bucket exists");
+            let pos = bucket
+                .iter()
+                .position(|e| e.filed == filed)
+                .expect("filed entry exists");
+            let last_used = bucket[pos].last_used;
+            if last_used != filed {
+                bucket[pos].filed = last_used;
+                self.recency.insert(last_used, key);
+                continue;
+            }
+            bucket.remove(pos);
+            if bucket.is_empty() {
+                self.entries.remove(&key);
+            }
+            self.len -= 1;
+            self.evictions += 1;
             return;
-        };
-        let bucket = self.entries.get_mut(&key).expect("victim bucket exists");
-        let pos = bucket
-            .iter()
-            .position(|e| e.last_used == victim_tick)
-            .expect("victim entry exists");
-        bucket.remove(pos);
-        if bucket.is_empty() && key != keep {
-            self.entries.remove(&key);
         }
-        self.len -= 1;
-        self.evictions += 1;
     }
 
     /// Drops every cached answer (pressure shedding / tests). Counters
@@ -210,6 +231,7 @@ impl SemanticCache {
     pub fn clear(&mut self) -> usize {
         let dropped = self.len;
         self.entries.clear();
+        self.recency.clear();
         self.evictions += dropped as u64;
         self.len = 0;
         dropped
@@ -295,6 +317,167 @@ mod tests {
             cache.lookup(fp, &p.queries[3], &p.queries[2]),
             Some(summary(false))
         );
+    }
+
+    /// The cache as it was before the recency index, kept as the
+    /// oracle: one flat list of `(σ, q, q′, answer, last_used)` with
+    /// queries as pool indices, and the victim found by scanning every
+    /// entry for the oldest `last_used`.
+    struct ScanModel<'p> {
+        pool: &'p [ConjunctiveQuery],
+        capacity: usize,
+        tick: u64,
+        live: Vec<(u64, usize, usize, bool, u64)>,
+        stats: CacheStats,
+    }
+
+    impl ScanModel<'_> {
+        fn find(&self, fp: u64, i: usize, j: usize) -> Option<usize> {
+            self.live.iter().position(|e| {
+                e.0 == fp
+                    && is_isomorphic(&self.pool[i], &self.pool[e.1])
+                    && is_isomorphic(&self.pool[j], &self.pool[e.2])
+            })
+        }
+
+        fn lookup(&mut self, fp: u64, i: usize, j: usize) -> Option<bool> {
+            if self.capacity == 0 {
+                self.stats.misses += 1;
+                return None;
+            }
+            self.tick += 1;
+            match self.find(fp, i, j) {
+                Some(at) => {
+                    self.stats.hits += 1;
+                    self.live[at].4 = self.tick;
+                    Some(self.live[at].3)
+                }
+                None => {
+                    self.stats.misses += 1;
+                    None
+                }
+            }
+        }
+
+        fn insert(&mut self, fp: u64, i: usize, j: usize, answer: bool) {
+            if self.capacity == 0 {
+                return;
+            }
+            self.tick += 1;
+            if self.find(fp, i, j).is_some() {
+                return;
+            }
+            self.live.push((fp, i, j, answer, self.tick));
+            if self.live.len() > self.capacity {
+                let victim = (0..self.live.len())
+                    .min_by_key(|&at| self.live[at].4)
+                    .expect("non-empty");
+                self.live.remove(victim);
+                self.stats.evictions += 1;
+            }
+        }
+
+        fn clear(&mut self) -> usize {
+            let dropped = self.live.len();
+            self.stats.evictions += dropped as u64;
+            self.live.clear();
+            dropped
+        }
+
+        fn stats(&self) -> CacheStats {
+            CacheStats {
+                entries: self.live.len(),
+                capacity: self.capacity,
+                ..self.stats
+            }
+        }
+
+        /// `(σ, last_used, answer)` of every live entry, sorted. Ticks
+        /// advance identically on both sides, so equal sets mean the
+        /// same entries survived — the same victims were picked.
+        fn residents(&self) -> Vec<(u64, u64, bool)> {
+            let mut r: Vec<_> = self.live.iter().map(|e| (e.0, e.4, e.3)).collect();
+            r.sort_unstable();
+            r
+        }
+    }
+
+    fn residents(cache: &SemanticCache) -> Vec<(u64, u64, bool)> {
+        let mut r: Vec<_> = cache
+            .entries
+            .iter()
+            .flat_map(|(k, bucket)| {
+                bucket
+                    .iter()
+                    .map(|e| (k.0, e.last_used, e.answer.contained))
+            })
+            .collect();
+        r.sort_unstable();
+        // The recency index maps one-to-one onto the live entries, each
+        // filed no later than its last use.
+        let indexed: Vec<(u64, Key)> = cache.recency.iter().map(|(t, k)| (*t, *k)).collect();
+        let mut filed: Vec<(u64, Key)> = cache
+            .entries
+            .iter()
+            .flat_map(|(k, bucket)| bucket.iter().map(|e| (e.filed, *k)))
+            .collect();
+        filed.sort_unstable();
+        assert_eq!(indexed, filed, "recency index out of step with the buckets");
+        assert!(cache
+            .entries
+            .values()
+            .flatten()
+            .all(|e| e.filed <= e.last_used));
+        r
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn recency_index_picks_the_scans_victims(seed in proptest::prelude::any::<u64>()) {
+            let p = parse_program(
+                "relation R(a, b).
+                 Q0(x) :- R(x, y).
+                 Q0r(u) :- R(u, w).
+                 Q1(x) :- R(y, x).
+                 Q2(x) :- R(x, y), R(y, z).
+                 Q2r(a) :- R(a, b), R(b, c).
+                 Q3(x) :- R(x, x).
+                 Q4(x, y) :- R(x, y).",
+            )
+            .unwrap();
+            let mut rng = proptest::test_runner::TestRng::new(seed);
+            let capacity = rng.below(9) as usize;
+            let mut cache = SemanticCache::new(capacity);
+            let mut model = ScanModel {
+                pool: &p.queries,
+                capacity,
+                tick: 0,
+                live: Vec::new(),
+                stats: CacheStats::default(),
+            };
+            let n = p.queries.len() as u64;
+            for step in 0..200 {
+                let fp = rng.below(2);
+                let (i, j) = (rng.below(n) as usize, rng.below(n) as usize);
+                match rng.below(20) {
+                    0 => assert_eq!(cache.clear(), model.clear(), "step {step}"),
+                    1..=9 => {
+                        let got = cache.lookup(fp, &p.queries[i], &p.queries[j]);
+                        let want = model.lookup(fp, i, j);
+                        assert_eq!(got.map(|s| s.contained), want, "step {step}");
+                    }
+                    _ => {
+                        let answer = rng.below(2) == 0;
+                        cache.insert(fp, &p.queries[i], &p.queries[j], summary(answer));
+                        model.insert(fp, i, j, answer);
+                    }
+                }
+                assert_eq!(cache.stats(), model.stats(), "step {step}");
+                assert_eq!(residents(&cache), model.residents(), "step {step}");
+            }
+        }
     }
 
     #[test]

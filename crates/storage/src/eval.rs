@@ -14,7 +14,9 @@
 
 use std::collections::BTreeSet;
 
-use cqchase_index::{compile, join, join_unbound_distinct, JoinScratch, PlanCache, Sym};
+use cqchase_index::{
+    compile, compile_bound, join, join_unbound_distinct, JoinScratch, PlanCache, Sym,
+};
 use cqchase_ir::{ConjunctiveQuery, Term};
 
 use crate::database::{Database, Tuple};
@@ -127,7 +129,9 @@ pub fn contains_tuple_indexed(q: &ConjunctiveQuery, idx: &DbIndex, t: &Tuple) ->
     if t.len() != q.output_arity() {
         return false;
     }
-    let Some(cq) = compile(q, idx) else {
+    // The search starts with the head bound to `t`: plan for that start.
+    let head: Vec<u32> = q.head.iter().filter_map(|t| Some(t.as_var()?.0)).collect();
+    let Some(cq) = compile_bound(q, idx, &head) else {
         return false;
     };
     let mut pre: Vec<Option<Sym>> = vec![None; cq.num_vars];
